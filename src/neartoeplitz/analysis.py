@@ -225,14 +225,12 @@ def upper_bound(cfg: MatrixConfig) -> UpperBound:
     b_tilde = 0 the max{S, T} branch.  The b = -2 intervals are the mirror
     images (the bound is evaluated at the mirrored corner value, where the
     norm is identical).  For n >= 9 and the b_tilde <= 0 regime (after
-    mirroring) max{S, T} provably collapses to S, which is asserted.
+    mirroring) max{S, T} collapses to S.
     """
     require_nonsingular(cfg)
     n = cfg.n
     bt = cfg.b_tilde if cfg.b == 2 else -cfg.b_tilde
     value, idx, terms = _upper_bound_b2(n, bt)
-    if idx == 4 and n >= 9:
-        assert value == terms["S"], "S must dominate T for n >= 9 in the b_tilde <= 0 regime"
     branch = (_BRANCHES_B2 if cfg.b == 2 else _BRANCHES_BM2)[idx]
     return UpperBound(value=value, branch=branch, terms=terms)
 

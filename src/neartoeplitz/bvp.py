@@ -11,13 +11,13 @@ h^2 * ||A^{-1}|| * L_c, with L_c a Lipschitz constant of f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .analysis import upper_bound
 from .config import MatrixConfig, require_nonsingular
+from .core import _inverse_solver
 from .errors import DivergenceError
 
 FISHER = "fisher"
@@ -63,11 +63,14 @@ class BvpProblem:
 
 @dataclass
 class BvpResult:
+    """Outcome of a fixed-point run; ``steps`` holds the sup-norm step of every iteration."""
+
     solution: np.ndarray
     iterations: int
     observed_rate: float
     expected_rate: float
     converged: bool
+    steps: list[float] = field(default_factory=list)
 
 
 def lipschitz_constant(
@@ -116,18 +119,6 @@ def default_initial_iterate(prob: BvpProblem) -> np.ndarray:
     return 0.5 * u / np.abs(u).max()
 
 
-def _banded(cfg: MatrixConfig) -> np.ndarray:
-    """The scaled operator in solve_banded's (1, 1) layout."""
-    n = cfg.n
-    s = -cfg.c_hat
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -1.0 * s
-    ab[1, :] = float(cfg.b) * s
-    ab[1, 0] = ab[1, n - 1] = cfg.b_tilde * s
-    ab[2, :-1] = -1.0 * s
-    return ab
-
-
 def solve_fixed_point(
     prob: BvpProblem,
     u0: np.ndarray | None = None,
@@ -136,10 +127,14 @@ def solve_fixed_point(
 ) -> BvpResult:
     """Iterate u <- A^{-1}(h^2 f(u) + bc) until the sup-norm step is below tol.
 
-    Each step solves the tridiagonal system directly in O(n); the inverse is
-    never materialized.  The observed rate is the maximum ratio of successive
-    step sizes after the first step.  Five consecutive growing steps raise
-    DivergenceError with the partial result attached.
+    The operator is factored once per solve (``core._inverse_solver``) with
+    h^2 folded into its weights; by linearity the boundary part g = A^{-1} bc
+    is solved once, so each step is u <- h^2 A^{-1} f(u) + g in O(n), with
+    no matrix and no per-step right-hand side.  The inverse is never
+    materialized.  The observed rate is the maximum ratio of successive step
+    sizes after the first step; ``steps`` records every step size.  Five
+    consecutive growing steps, or a non-finite step, raise DivergenceError
+    with the partial result attached.
     """
     require_nonsingular(prob.cfg)
     if tol <= 0:
@@ -148,52 +143,57 @@ def solve_fixed_point(
     if u.shape != (prob.n,):
         raise ValueError(f"initial iterate must have length {prob.n}, got shape {u.shape}")
 
-    ab = _banded(prob.cfg)
-    # The scaled operator couples boundary nodes through its off-diagonal
-    # entry c_hat; moving them to the right-hand side flips the sign.
-    rhs_bc = np.zeros(prob.n)
-    rhs_bc[0] = -prob.cfg.c_hat * prob.bc_left
-    rhs_bc[-1] = -prob.cfg.c_hat * prob.bc_right
-
     h2 = prob.h**2
+    # The scaled operator -c_hat * A couples the boundary nodes through its
+    # off-diagonal c_hat; moved to the right-hand side they give -c_hat * bc,
+    # so g = A^{-1} bc.  The solver carries h^2 / -c_hat, undone on its input.
+    solve = _inverse_solver(prob.cfg, scale=h2 / -prob.cfg.c_hat)
+    bc = np.zeros(prob.n)
+    bc[0], bc[-1] = prob.bc_left, prob.bc_right
+    g = solve(bc * (-prob.cfg.c_hat / h2))
+
     exp_rate = expected_rate(prob)
+    steps: list[float] = []
     prev_step = None
     rate = 0.0
     growth_streak = 0
-    iterations = 0
     converged = False
-    for _ in range(max_iter):
-        rhs = h2 * prob.f(u) + rhs_bc
-        if not np.isfinite(rhs).all():
-            partial = BvpResult(
-                solution=u, iterations=iterations, observed_rate=rate,
-                expected_rate=exp_rate, converged=False,
-            )
-            raise DivergenceError("iterate overflowed", partial=partial)
-        u_next = solve_banded((1, 1), ab, rhs)
-        step = float(np.abs(u_next - u).max())
-        iterations += 1
-        if prev_step is not None and prev_step > 0.0:
-            rate = max(rate, step / prev_step)
-            growth_streak = growth_streak + 1 if step > prev_step else 0
-        u = u_next
-        if step <= tol:
-            converged = True
-            break
-        if growth_streak >= _DIVERGENCE_STREAK:
-            partial = BvpResult(
-                solution=u, iterations=iterations, observed_rate=rate,
-                expected_rate=exp_rate, converged=False,
-            )
-            raise DivergenceError(
-                f"step size grew for {_DIVERGENCE_STREAK} consecutive iterations",
-                partial=partial,
-            )
-        prev_step = step
+    u_next = np.empty(prob.n)
+    diff = np.empty(prob.n)
+
+    def partial() -> BvpResult:
+        return BvpResult(solution=u, iterations=len(steps), observed_rate=rate,
+                         expected_rate=exp_rate, converged=False, steps=steps)
+
+    # An overflowed f(u) turns every entry of the next iterate into inf or
+    # nan; the non-finite step reports it, so the prefix sums may stay quiet.
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_iter):
+            solve(prob.f(u), out=u_next)
+            u_next += g
+            np.subtract(u_next, u, out=diff)
+            step = float(np.abs(diff, out=diff).max())
+            if not math.isfinite(step):
+                raise DivergenceError("iterate overflowed", partial=partial())
+            steps.append(step)
+            if prev_step is not None and prev_step > 0.0:
+                rate = max(rate, step / prev_step)
+                growth_streak = growth_streak + 1 if step > prev_step else 0
+            u, u_next = u_next, u
+            if step <= tol:
+                converged = True
+                break
+            if growth_streak >= _DIVERGENCE_STREAK:
+                raise DivergenceError(
+                    f"step size grew for {_DIVERGENCE_STREAK} consecutive iterations",
+                    partial=partial(),
+                )
+            prev_step = step
     return BvpResult(
         solution=u,
-        iterations=iterations,
+        iterations=len(steps),
         observed_rate=rate,
         expected_rate=exp_rate,
         converged=converged,
+        steps=steps,
     )

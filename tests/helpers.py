@@ -100,3 +100,19 @@ def fit_printed_corner(n: int, b: int, bt: float, published_norm: float) -> floa
                 hi, f_hi = mid, f_mid
         candidates += [(lo, f_lo), (hi, f_hi)]
     return min(candidates, key=lambda c: abs(c[1]))[0]
+
+
+def banded_lu_solve(cfg, x):
+    """Banded LU of the scaled operator, for one or more right-hand-side columns.
+
+    This is the per-step solve the fixed-point iteration used before its
+    factored O(n) solve; scipy is a test-only dependency.
+    """
+    from scipy.linalg import solve_banded
+
+    n, s = cfg.n, -cfg.c_hat
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = -s
+    ab[1, :] = cfg.b * s
+    ab[1, 0] = ab[1, -1] = cfg.b_tilde * s
+    return solve_banded((1, 1), ab, x)

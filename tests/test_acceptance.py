@@ -311,13 +311,16 @@ def test_criterion_10_property_suite():
                     if near_toeplitz_inverse_entry(cfg, i, j) != toeplitz_inverse_entry(n, b, i, j):
                         problems.append(("reduction", n, b, i, j))
 
-    # dual-form determinant agreement (checked internally by derived_params)
+    # dual-form determinant agreement, at the scale of the m11^2 terms
     for n in SWEEP_N:
         for b in SWEEP_B:
             for bt in btilde_samples(n, b, count=20):
-                derived_params(MatrixConfig(n, b, float(bt)))
+                p = derived_params(MatrixConfig(n, b, float(bt)))
+                scale = max(1.0, p.m11 * p.m11, p.m12 * p.m12)
+                if abs(p.m11 * p.m11 - p.m12 * p.m12 - p.delta) > 1e-12 * scale:
+                    problems.append(("delta", n, b, bt))
 
-    # solver path: one elimination step equals applying the assembled inverse
+    # solver path: one factored-solve step equals applying the assembled inverse
     for n, b, bt in [(8, 2, 2.0), (32, -2, -2.0), (64, 2, 3.5)]:
         cfg = MatrixConfig(n, b, bt)
         prob = BvpProblem(n=n, length=1.0, k_coef=2.0, nonlinearity="fisher", cfg=cfg)

@@ -260,6 +260,16 @@ def test_sandwich_property(n, b, bt):
     assert upper_bound(cfg).value >= norm * (1 - 1e-12) - 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(9, 10**6), b=st.sampled_from([2, -2]), magnitude=st.floats(0, 1e6))
+def test_s_dominates_t_for_nonpositive_corners(n, b, magnitude):
+    """For n >= 9 and b_tilde <= 0 (mirrored for b = -2) max{S, T} is S."""
+    ub = upper_bound(MatrixConfig(n, b, -magnitude if b == 2 else magnitude))
+    assert ub.branch in ("btilde_le_0", "btilde_ge_0")
+    assert ub.terms["S"] >= ub.terms["T"]
+    assert ub.value == ub.terms["S"]
+
+
 def test_corollary_equality_for_odd_orders():
     """For odd n >= 9 and b_tilde <= 0 the norm equals the S term exactly."""
     for n in range(9, 30, 2):

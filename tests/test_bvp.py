@@ -7,6 +7,7 @@ import pytest
 
 from neartoeplitz import (
     BvpProblem,
+    BvpResult,
     DivergenceError,
     MatrixConfig,
     assemble_inverse,
@@ -14,8 +15,11 @@ from neartoeplitz import (
     expected_rate,
     lipschitz_constant,
     solve_fixed_point,
+    upper_bound,
 )
 from neartoeplitz.tables import REPRODUCTION_TOL
+
+from helpers import banded_lu_solve
 
 
 def fisher_problem(n, b, bt, length, k):
@@ -121,7 +125,7 @@ class TestSolveFixedPoint:
                     assert row["observed_rate"] <= row["expected_rate"] * 1.05
 
     def test_solver_path_equals_explicit_inverse_apply(self):
-        # one substitution step computed via elimination must equal applying
+        # one substitution step through the factored solve must equal applying
         # the assembled inverse to the same right-hand side
         for n, b, bt, bc in [(8, 2, 2.0, 0.0), (32, -2, -2.0, 0.0), (64, 2, 3.5, 0.7)]:
             cfg = MatrixConfig(n, b, bt)
@@ -182,6 +186,57 @@ class TestSolveFixedPoint:
             solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0), tol=-1.0)
         with pytest.raises(ValueError):
             solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0), u0=np.zeros(9))
+
+    def test_step_history_audits_observed_rate(self):
+        for prob in (fisher_problem(50, 2, 2.0, 0.5, 4.0), fisher_problem(50, -2, -2.0, 0.05, 81.0)):
+            res = solve_fixed_point(prob, tol=1e-12)
+            assert len(res.steps) == res.iterations
+            assert res.steps[-1] <= 1e-12 < res.steps[-2]
+            ratios = [b / a for a, b in zip(res.steps, res.steps[1:]) if a > 0.0]
+            assert res.observed_rate == max(ratios)
+
+    def test_partial_result_carries_steps(self):
+        prob = BvpProblem(n=10, length=1.0, k_coef=3.0, nonlinearity="bratu",
+                          cfg=MatrixConfig(10, 2, 2.0))
+        with pytest.raises(DivergenceError) as err:
+            solve_fixed_point(prob, tol=1e-10, max_iter=500)
+        partial = err.value.partial
+        assert len(partial.steps) == partial.iterations
+        assert all(b > a for a, b in zip(partial.steps[-6:], partial.steps[-5:]))
+
+    def test_default_result_has_no_steps(self):
+        assert BvpResult(np.zeros(4), 0, 0.0, 0.0, False).steps == []
+
+    @pytest.mark.parametrize("n, b, bt, length, k, kind, c_hat, bcs", [
+        (50, 2, 2.0, 0.5, 1.0, "fisher", -1.0, (0.0, 0.0)),
+        (50, -2, -2.0, 0.05, 729.0, "fisher", -1.0, (0.0, 0.0)),
+        (37, -2, -2.7, 1.0, 1.5, "bratu", -1.0, (0.2, 0.1)),
+        (60, 2, -1.5, 0.7, 3.0, "fisher", -2.5, (0.1, 0.4)),
+        (25, -2, 0.4, 0.3, 20.0, "fisher", -4.0, (0.1, 0.05)),
+        (51, 2, 0.95, 0.4, 2.0, "bratu", -1.7, (0.5, 0.5)),
+        (44, -2, -5.0, 1.0, 0.8, "bratu", -0.5, (0.25, 0.3)),
+        (64, 2, 0.3, 0.9, 4.0, "fisher", 2.0, (-0.2, 0.3)),
+        (2000, 2, 3.1, 1.0, 2.0, "bratu", -1.0, (0.3, 0.7)),
+    ])
+    def test_matches_banded_lu_iteration(self, n, b, bt, length, k, kind, c_hat, bcs):
+        # The banded-LU step the factored solve replaced, kept as the reference.
+        pytest.importorskip("scipy.linalg")
+        cfg = MatrixConfig(n, b, bt, c_hat)
+        prob = BvpProblem(n=n, length=length, k_coef=k, nonlinearity=kind, cfg=cfg,
+                          bc_left=bcs[0], bc_right=bcs[1])
+        res = solve_fixed_point(prob)
+        rhs_bc = np.zeros(n)
+        rhs_bc[0], rhs_bc[-1] = -c_hat * bcs[0], -c_hat * bcs[1]
+        u = default_initial_iterate(prob)
+        # Two backward-stable solves differ by at most 2 * 64 eps * kappa of
+        # the iterate scale; ||A^{-1}|| <= the published upper bound.
+        kappa = (max(abs(b), abs(bt)) + 2.0) * upper_bound(cfg).value
+        tol = 2 * 64 * np.finfo(float).eps * kappa * max(0.5, np.abs(res.solution).max())
+        for step in res.steps:
+            u_next = banded_lu_solve(cfg, prob.h**2 * prob.f(u) + rhs_bc)
+            assert abs(np.abs(u_next - u).max() - step) <= 2 * tol
+            u = u_next
+        assert np.abs(res.solution - u).max() <= tol
 
     def test_grid_spacing(self):
         assert fisher_problem(50, 2, 2.0, 0.5, 1.0).h == pytest.approx(0.01)

@@ -1,10 +1,15 @@
 """Command-line interface: wrapping, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neartoeplitz
 from neartoeplitz import MatrixConfig, exact_infinity_norm, trace_inverse
 from neartoeplitz.cli import main
 
@@ -207,3 +212,39 @@ def test_cli_is_thin_wrapper(capsys):
     got = json.loads(out)["outputs"]["trace"]
     lib = trace_inverse(MatrixConfig(9, -2, -4.5))
     assert got == float(f"{lib:.10g}")
+
+
+#: Prints whether any scipy module was imported by the code run before it.
+SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that finds this checkout's package first."""
+    src = str(Path(neartoeplitz.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportBoundary:
+    """scipy is a test-only dependency: the package and its CLI never import it."""
+
+    def test_import_does_not_load_scipy(self):
+        assert run_python(f"import sys, neartoeplitz; {SCIPY_LOADED}").split() == ["False"]
+
+    def test_solve_bvp_does_not_load_scipy(self):
+        argv = ["neartoeplitz", "solve-bvp", "--n", "50", "--b", "-2", "--btilde", "-2",
+                "--length", "0.05", "--k", "81", "--nonlinearity", "fisher"]
+        out = run_python(
+            "import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('neartoeplitz', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            f"{SCIPY_LOADED}\n"
+        )
+        assert json.loads(out[: out.rindex("}") + 1])["outputs"]["converged"] is True
+        assert out.split()[-1] == "False"

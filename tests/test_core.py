@@ -16,10 +16,11 @@ from neartoeplitz import (
     near_toeplitz_inverse_entry,
     reference_inverse,
     toeplitz_inverse_entry,
+    upper_bound,
 )
-from neartoeplitz.core import _entry_b2_simplified
+from neartoeplitz.core import _entry_b2_simplified, _inverse_solver
 
-from helpers import btilde_samples, oracle_entries
+from helpers import banded_lu_solve, btilde_samples, oracle_entries
 
 
 def tridiag(n, b):
@@ -82,6 +83,15 @@ class TestMatrixConfig:
             MatrixConfig(5, 2, 1.5, c_hat=0.0)
         with pytest.raises(ValueError):
             MatrixConfig(5, 2, float("nan"))
+        with pytest.raises(ValueError):
+            MatrixConfig(10.0, 2, 1.5)
+
+    def test_numpy_integer_order(self):
+        cfg = MatrixConfig(np.int64(10), 2, 3.0)
+        assert cfg == MatrixConfig(10, 2, 3.0)
+        assert type(cfg.n) is int
+        with pytest.raises(ValueError):
+            MatrixConfig(np.int32(3), 2, 3.0)
 
     def test_singular_points(self):
         assert MatrixConfig(5, 2, 0.0).singular_points() == (1.0, 0.5)
@@ -112,6 +122,14 @@ class TestDerivedParams:
         q = derived_params(MatrixConfig(6, -2, -3.0))
         assert q.gamma is None
         assert q.gamma_plus == pytest.approx((2 - 3.0) / (1 - 3.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(4, 10**6), b=st.sampled_from([2, -2]), bt=st.floats(-1e3, 1e3))
+    def test_factored_delta_equals_capacitance_determinant(self, n, b, bt):
+        # m11^2 - m12^2 cancels near the roots, so it is held to the scale of its terms.
+        p = derived_params(MatrixConfig(n, b, bt))
+        scale = max(1.0, p.m11 * p.m11, p.m12 * p.m12)
+        assert abs(p.m11 * p.m11 - p.m12 * p.m12 - p.delta) <= 1e-12 * scale
 
     def test_delta_nonnegative_for_dominant_corners(self):
         for n in (4, 9, 16):
@@ -267,3 +285,125 @@ class TestAssembleInverse:
             closed = assemble_inverse(MatrixConfig(n, b, bt)).entries
             ref = oracle_entries(n, b, bt)
             assert np.max(np.abs(closed - ref)) <= 1e-9
+
+
+EPS = np.finfo(float).eps
+#: The residual gate of the factored solve; the benchmark's BVP check uses the same 64 eps.
+RESIDUAL_EPS = 64
+
+
+def apply_scaled_operator(cfg, y):
+    """(-c_hat) * A @ y by the three-point stencil, without forming A."""
+    out = cfg.b * y
+    out[0] = cfg.b_tilde * y[0]
+    out[-1] = cfg.b_tilde * y[-1]
+    out[:-1] -= y[1:]
+    out[1:] -= y[:-1]
+    return -cfg.c_hat * out
+
+
+def residual_limit(cfg, y, x):
+    """64 eps * (||A||_inf ||y||_inf + ||x||_inf) for the scaled operator."""
+    op_norm = abs(cfg.c_hat) * (max(abs(cfg.b), abs(cfg.b_tilde)) + 2.0)
+    return RESIDUAL_EPS * EPS * (op_norm * np.abs(y).max() + np.abs(x).max())
+
+
+def solver_corners(n):
+    """b = +2 corner values: the five upper-bound regimes, |b_tilde| < 1, and
+    1e-8 / 1e-9 on both sides of both singular points."""
+    s1, s2 = 1.0, (n - 3) / (n - 1)
+    edge = (n - 2) / (n - 1)
+    near = [s + d for s in (s1, s2) for d in (1e-8, -1e-8, 1e-9, -1e-9)]
+    return [2.0, 1.5, 40.0, (edge + 1.0) / 2, (s2 + edge) / 2, 0.5 * s2, 0.3,
+            0.0, -0.5, -3.0, -50.0, *near]
+
+
+def solver_rhs(n, rng):
+    """Smooth bump, the bump modulated by (-1)^i, random, and positive."""
+    i = np.arange(1, n + 1)
+    bump = np.sin(np.pi * i / (n + 1))
+    return [bump, bump * (-1.0) ** i, rng.standard_normal(n), rng.uniform(0.5, 1.5, n)]
+
+
+def solver_cases(n):
+    """(cfg, rhs list) over both signs; c_hat cycles through -1, 2.5 and -0.25."""
+    rng = np.random.default_rng(n)
+    for b in (2, -2):
+        for idx, bt in enumerate(solver_corners(n)):
+            c_hat = (-1.0, 2.5, -0.25)[idx % 3]
+            yield MatrixConfig(n, b, bt if b == 2 else -bt, c_hat), solver_rhs(n, rng)
+
+
+class TestInverseSolver:
+    """Backward stability of the O(n) factored solve of the scaled system.
+
+    A rank-one generator product u_min(i,j) v_max(i,j) / D for the same
+    apply reaches scaled residuals of 7e-12, and 1e-7 near the singular
+    corners; it fails this gate almost only on the smooth and the modulated
+    bump, so those shapes and corners are kept on purpose.
+    """
+
+    @pytest.mark.parametrize("n", [*range(4, 61), 1000, 100_000])
+    def test_residual_gate(self, n):
+        for cfg, rhs in solver_cases(n):
+            solve = _inverse_solver(cfg, scale=1.0 / -cfg.c_hat)
+            for x in rhs:
+                y = solve(x)
+                r = np.abs(apply_scaled_operator(cfg, y) - x).max()
+                assert r <= residual_limit(cfg, y, x), (cfg, r)
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 16, 33, 60, 150])
+    def test_against_oracle(self, n):
+        # Both are backward stable, so they agree to 2 * 64 eps * kappa.
+        for cfg, rhs in solver_cases(n):
+            dense = build_matrix(cfg, scaled=True).data
+            inv = reference_inverse(dense).entries
+            kappa = np.abs(dense).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+            solve = _inverse_solver(cfg, scale=1.0 / -cfg.c_hat)
+            for x in rhs:
+                y, ref = solve(x), inv @ x
+                assert np.abs(y - ref).max() <= 2 * RESIDUAL_EPS * EPS * kappa * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [4, 51, 1000, 100_000])
+    def test_against_banded_lu(self, n):
+        # ||A^{-1}|| is at most the published upper bound, which gives kappa.
+        pytest.importorskip("scipy.linalg")
+        for cfg, rhs in solver_cases(n):
+            op_norm = abs(cfg.c_hat) * (max(abs(cfg.b), abs(cfg.b_tilde)) + 2.0)
+            kappa = op_norm * upper_bound(cfg).value / abs(cfg.c_hat)
+            solve = _inverse_solver(cfg, scale=1.0 / -cfg.c_hat)
+            refs = banded_lu_solve(cfg, np.column_stack(rhs))
+            for x, ref in zip(rhs, refs.T):
+                y = solve(x)
+                assert np.abs(y - ref).max() <= 2 * RESIDUAL_EPS * EPS * kappa * np.abs(ref).max()
+
+    def test_scale_and_output_buffer(self):
+        cfg = MatrixConfig(9, -2, 0.4, c_hat=-3.0)
+        x = np.linspace(-1.0, 2.0, 9)
+        out = np.empty(9)
+        y = _inverse_solver(cfg, scale=0.125)(x, out=out)
+        assert y is out
+        expected = 0.125 * assemble_inverse(cfg).entries @ x
+        assert np.abs(y - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_singular_rejection(self):
+        with pytest.raises(SingularMatrixError):
+            _inverse_solver(MatrixConfig(12, -2, -9 / 11), scale=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(4, 400),
+    b=st.sampled_from([2, -2]),
+    bt=st.floats(-100, 100),
+    c_hat=st.floats(0.1, 10) | st.floats(-10, -0.1),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([0, 1, 2, 3]),
+)
+def test_residual_gate_property(n, b, bt, c_hat, seed, shape):
+    cfg = MatrixConfig(n, b, bt, c_hat)
+    if is_singular(cfg, tol=1e-9):
+        return
+    x = solver_rhs(n, np.random.default_rng(seed))[shape]
+    y = _inverse_solver(cfg, scale=1.0 / -c_hat)(x)
+    assert np.abs(apply_scaled_operator(cfg, y) - x).max() <= residual_limit(cfg, y, x)
