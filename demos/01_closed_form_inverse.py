@@ -10,9 +10,9 @@ from neartoeplitz import (
     MatrixConfig,
     assemble_inverse,
     build_matrix,
-    derived_params,
     reference_inverse,
     rowsums,
+    singularity_report,
     trace_inverse,
 )
 
@@ -25,9 +25,8 @@ print("dense form:")
 print(matrix.data)
 print()
 
-params = derived_params(cfg)
-print(f"corner update strength beta = {params.beta}")
-print(f"capacitance determinant delta = {params.delta:.6f} (singular iff zero)")
+print(f"corner update strength beta = {cfg.b_tilde - cfg.b}")
+print(f"capacitance determinant delta = {singularity_report(cfg)['delta']:.6f} (singular iff zero)")
 print()
 
 inv = assemble_inverse(cfg)

@@ -31,10 +31,8 @@ from .bvp import (
     solve_fixed_point,
 )
 from .config import (
-    DerivedParams,
     MatrixConfig,
     delta_below_threshold,
-    derived_params,
     is_singular,
     singularity_report,
 )
@@ -45,6 +43,7 @@ from .core import (
     toeplitz_inverse_entry,
 )
 from .errors import (
+    DenseSizeError,
     DivergenceError,
     PivotBreakdownError,
     SingularMatrixError,
@@ -64,7 +63,7 @@ __all__ = [
     "BvpProblem",
     "BvpResult",
     "DenseMatrix",
-    "DerivedParams",
+    "DenseSizeError",
     "DivergenceError",
     "InverseMatrix",
     "MatrixConfig",
@@ -79,7 +78,6 @@ __all__ = [
     "build_matrix",
     "default_initial_iterate",
     "delta_below_threshold",
-    "derived_params",
     "exact_infinity_norm",
     "expected_rate",
     "is_singular",

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import MatrixConfig, require_nonsingular
-from .core import _lower_triangle_grid
+from .core import _inverse_grid
 from .errors import UnsupportedCaseError
 
 
@@ -162,11 +162,11 @@ def exact_infinity_norm(cfg: MatrixConfig) -> float:
     """Max absolute row sum of the inverse, from closed-form entries in O(n^2).
 
     Rows mix signs for b_tilde < 1, so the row reduction relies on numpy's
-    pairwise summation.
+    pairwise summation.  Orders above 2**14 raise DenseSizeError.
     """
     require_nonsingular(cfg)
-    vals = _lower_triangle_grid(cfg)
-    return float(np.abs(vals).sum(axis=1).max())
+    vals = _inverse_grid(cfg)
+    return float(np.abs(vals, out=vals).sum(axis=1).max())
 
 
 def lower_bound(cfg: MatrixConfig) -> float:

@@ -1,4 +1,4 @@
-"""Matrix configuration, derived scalar parameters, and singularity detection.
+"""Matrix configuration and singularity detection.
 
 The library works on the normalized operator: an n x n symmetric tridiagonal
 matrix with constant diagonal ``b`` (|b| = 2), off-diagonals -1, and both
@@ -61,52 +61,11 @@ class MatrixConfig:
         return (s * 1.0, s * (self.n - 3) / (self.n - 1))
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Scalars computed once per configuration.
-
-    beta       : b_tilde - b (the rank-2 corner update strength)
-    gamma      : (2 - b_tilde) / (1 - b_tilde), defined only for b = +2
-    gamma_plus : (2 + b_tilde) / (1 + b_tilde), defined only for b = -2
-    m11, m12   : entries of the 2x2 capacitance matrix of the corner update
-    delta      : its determinant m11^2 - m12^2
-    """
-
-    beta: float
-    gamma: float | None
-    gamma_plus: float | None
-    m11: float
-    m12: float
-    delta: float
-
-
 def _delta_factored(cfg: MatrixConfig) -> float:
     """Determinant as the factored quadratic in b_tilde (stable near the roots)."""
     s1, s2 = cfg.singular_points()
     n = cfg.n
     return (n - 1) / (n + 1) * (cfg.b_tilde - s1) * (cfg.b_tilde - s2)
-
-
-def derived_params(cfg: MatrixConfig) -> DerivedParams:
-    """Compute beta, gamma / gamma_plus, the capacitance entries, and delta.
-
-    delta is the factored quadratic in b_tilde, which equals m11^2 - m12^2 but
-    stays accurate near the singular corners, where the difference of squares
-    cancels.
-    """
-    n, b, bt = cfg.n, cfg.b, cfg.b_tilde
-    beta = bt - b
-    ratio = 2.0 * beta / b
-    m11 = 1.0 + ratio * n / (n + 1)
-    # (2/b)^n reduced to a parity sign for b = -2; never a floating-point power.
-    corner_sign = 1.0 if (b == 2 or n % 2 == 0) else -1.0
-    m12 = beta * corner_sign / (n + 1)
-
-    gamma = (2.0 - bt) / (1.0 - bt) if (b == 2 and bt != 1.0) else None
-    gamma_plus = (2.0 + bt) / (1.0 + bt) if (b == -2 and bt != -1.0) else None
-    return DerivedParams(
-        beta=beta, gamma=gamma, gamma_plus=gamma_plus, m11=m11, m12=m12, delta=_delta_factored(cfg)
-    )
 
 
 def is_singular(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> bool:

@@ -11,10 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MatrixConfig, derived_params, require_nonsingular
+from .config import MatrixConfig, require_nonsingular
+from .errors import DenseSizeError
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
+
+#: Largest order of an n x n grid: one float64 array at the cap takes 2 GiB.
+_MAX_DENSE_ORDER = 2**14
+#: Rows per band of the grid; a band of 64 rows at n = 3000 is 1.5 MB.
+_BAND = 64
 
 
 @dataclass
@@ -31,6 +37,17 @@ def _check_index(n: int, i: int, j: int) -> None:
         raise IndexError(f"indices must lie in 1..{n}, got (i={i}, j={j})")
 
 
+def _entry(n: int, b: int, r: float, i: int, j: int) -> float:
+    """s_ij u_min(i,j) v_max(i,j) / D at corner ratio r; r = 0 is the Toeplitz inverse."""
+    if i < j:
+        i, j = j, i
+    value = (j * (1.0 + r) - r) * ((n - i) * (1.0 + r) + 1.0)
+    value /= (1.0 + r) * (n + 1 + r * (n - 1))
+    if b == -2 and (i + 1 - j) % 2 == 1:
+        value = -value
+    return value
+
+
 def toeplitz_inverse_entry(n: int, b: int, i: int, j: int) -> float:
     """Entry (i, j) of the inverse of tridiag(-1, b, -1), |b| = 2.
 
@@ -43,12 +60,7 @@ def toeplitz_inverse_entry(n: int, b: int, i: int, j: int) -> float:
     if b not in (2, -2):
         raise ValueError(f"diagonal b must be +2 or -2, got {b!r}")
     _check_index(n, i, j)
-    if i < j:
-        i, j = j, i
-    value = j * (n + 1 - i) / (n + 1)
-    if b == -2 and (i + 1 - j) % 2 == 1:
-        value = -value
-    return value
+    return _entry(n, b, 0.0, i, j)
 
 
 def near_toeplitz_inverse_entry(
@@ -68,50 +80,44 @@ def near_toeplitz_inverse_entry(
     indices outside 1..n.
     """
     require_nonsingular(cfg)
-    n = cfg.n
-    _check_index(n, i, j)
-    if i < j:
-        i, j = j, i
-    beta = cfg.b_tilde - cfg.b
-    r = 2.0 * beta / cfg.b
-    value = (
-        (j * (1.0 + r) - r)
-        * ((n - i) * (1.0 + r) + 1.0)
-        / ((1.0 + r) * (n + 1 + r * (n - 1)))
-    )
-    if cfg.b == -2 and (i + 1 - j) % 2 == 1:
-        value = -value
+    _check_index(cfg.n, i, j)
+    value = _entry(cfg.n, cfg.b, 2.0 * (cfg.b_tilde - cfg.b) / cfg.b, i, j)
     if scaled:
         value /= -cfg.c_hat
     return value
 
 
-def _entry_b2_simplified(n: int, b_tilde: float, i: int, j: int) -> float:
-    """b = 2 entry in the equivalent (j - gamma) form; used for cross-checks."""
-    if i < j:
-        i, j = j, i
-    gamma = (2.0 - b_tilde) / (1.0 - b_tilde)
-    return (j - gamma) * ((n - i) * (1.0 - b_tilde) - 1.0) / ((n - 1) * (1.0 - b_tilde) - 2.0)
+def _inverse_grid(cfg: MatrixConfig) -> np.ndarray:
+    """All n x n entries s_ij u_min(i,j) v_max(i,j) / D, built from the generators.
 
-
-def _lower_triangle_grid(cfg: MatrixConfig) -> np.ndarray:
-    """Vectorized closed-form evaluation over the full index grid (i >= j mirrored)."""
+    u_k, v_k and D are the factors of ``_entry``; for b = -2 the parity sign
+    (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v.  Bands of _BAND rows
+    go into the one n x n array and are divided by D while in cache.  Each
+    diagonal block mirrors its lower part, so the grid is exactly symmetric.
+    Orders above 2**14 raise DenseSizeError before anything is allocated.
+    """
     n = cfg.n
-    beta = cfg.b_tilde - cfg.b
-    r = 2.0 * beta / cfg.b
-    i = np.arange(1, n + 1, dtype=float)[:, None]
-    j = np.arange(1, n + 1, dtype=float)[None, :]
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    vals = (
-        (lo * (1.0 + r) - r)
-        * ((n - hi) * (1.0 + r) + 1.0)
-        / ((1.0 + r) * (n + 1 + r * (n - 1)))
-    )
+    if n > _MAX_DENSE_ORDER:
+        raise DenseSizeError(f"order {n} is above {_MAX_DENSE_ORDER}, the cap on dense n x n grids")
+    r = 2.0 * (cfg.b_tilde - cfg.b) / cfg.b
+    k = np.arange(1, n + 1, dtype=float)
+    u = k * (1.0 + r) - r
+    v = (n - k) * (1.0 + r) + 1.0
     if cfg.b == -2:
-        parity = (hi + 1 - lo).astype(int) % 2
-        vals = np.where(parity == 1, -vals, vals)
-    return vals
+        sigma = np.where(k % 2 == 0, 1.0, -1.0)
+        u *= sigma
+        v *= -sigma
+    d = (1.0 + r) * (n + 1 + r * (n - 1))
+    grid = np.empty((n, n))
+    upper = ~np.tri(_BAND, dtype=bool)
+    for s in range(0, n, _BAND):
+        e = min(s + _BAND, n)
+        np.multiply.outer(v[s:e], u[:e], out=grid[s:e, :e])
+        np.multiply.outer(u[s:e], v[e:], out=grid[s:e, e:])
+        block = grid[s:e, s:e]
+        np.copyto(block, block.T, where=upper[: e - s, : e - s])
+        grid[s:e] /= d
+    return grid
 
 
 def _inverse_solver(cfg: MatrixConfig, scale: float):
@@ -182,12 +188,13 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
 def assemble_inverse(cfg: MatrixConfig, scaled: bool = False) -> InverseMatrix:
     """Materialize the full inverse from the closed-form entries.
 
-    The lower triangle is computed and mirrored, so the result is exactly
-    symmetric; centrosymmetry holds to rounding.
+    The grid comes from the two generators (``_inverse_grid``) and is exactly
+    symmetric; centrosymmetry holds to rounding.  Orders above 2**14 raise
+    DenseSizeError.
     """
     require_nonsingular(cfg)
-    vals = _lower_triangle_grid(cfg)
-    entries = np.tril(vals) + np.tril(vals, -1).T
+    entries = _inverse_grid(cfg)
+    entries += 0.0  # no -0.0 entries: b_tilde = 0 makes some u_k v_k products signed zeros
     if scaled:
-        entries = entries / (-cfg.c_hat)
+        entries /= -cfg.c_hat
     return InverseMatrix(n=cfg.n, entries=entries, source=CLOSED_FORM)

@@ -9,6 +9,10 @@ class PivotBreakdownError(SingularMatrixError):
     """Dense elimination hit a pivot below threshold; the input is numerically singular."""
 
 
+class DenseSizeError(ValueError):
+    """The order is above the cap on dense n x n results (2**14); refused before allocating."""
+
+
 class UnsupportedCaseError(ValueError):
     """The requested quantity is only defined for a different (b, b_tilde) regime."""
 

@@ -76,8 +76,10 @@ def reference_inverse(m: DenseMatrix | np.ndarray) -> InverseMatrix:
         if p != col:
             aug[[col, p]] = aug[[p, col]]
         aug[col] /= aug[col, col]
-        rest = np.arange(n) != col
-        aug[rest] -= np.outer(aug[rest, col], aug[col])
+        # Eliminate from every row in place; that zeroes the pivot row, so put it back.
+        pivot_row = aug[col].copy()
+        aug -= np.outer(aug[:, col], pivot_row)
+        aug[col] = pivot_row
     return InverseMatrix(n=n, entries=aug[:, n:], source=ORACLE)
 
 

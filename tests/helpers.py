@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from neartoeplitz import (
     MatrixConfig,
+    PivotBreakdownError,
     assemble_inverse,
     build_matrix,
     exact_infinity_norm,
     is_singular,
     reference_inverse,
 )
+from neartoeplitz.config import _delta_factored
+from neartoeplitz.oracle import PIVOT_RTOL
 
 SWEEP_N = range(4, 31)
 SWEEP_B = (2, -2)
@@ -116,3 +120,132 @@ def banded_lu_solve(cfg, x):
     ab[1, :] = cfg.b * s
     ab[1, 0] = ab[1, -1] = cfg.b_tilde * s
     return solve_banded((1, 1), ab, x)
+
+
+def entry_b2_simplified(n: int, b_tilde: float, i: int, j: int) -> float:
+    """b = 2 entry in the equivalent (j - gamma) form; used for cross-checks."""
+    if i < j:
+        i, j = j, i
+    gamma = (2.0 - b_tilde) / (1.0 - b_tilde)
+    return (j - gamma) * ((n - i) * (1.0 - b_tilde) - 1.0) / ((n - 1) * (1.0 - b_tilde) - 2.0)
+
+
+@dataclass(frozen=True)
+class DerivedParams:
+    """Scalars computed once per configuration.
+
+    beta       : b_tilde - b (the rank-2 corner update strength)
+    gamma      : (2 - b_tilde) / (1 - b_tilde), defined only for b = +2
+    gamma_plus : (2 + b_tilde) / (1 + b_tilde), defined only for b = -2
+    m11, m12   : entries of the 2x2 capacitance matrix of the corner update
+    delta      : its determinant m11^2 - m12^2
+    """
+
+    beta: float
+    gamma: float | None
+    gamma_plus: float | None
+    m11: float
+    m12: float
+    delta: float
+
+
+def derived_params(cfg: MatrixConfig) -> DerivedParams:
+    """Compute beta, gamma / gamma_plus, the capacitance entries, and delta.
+
+    delta is the factored quadratic in b_tilde, which equals m11^2 - m12^2 but
+    stays accurate near the singular corners, where the difference of squares
+    cancels.
+    """
+    n, b, bt = cfg.n, cfg.b, cfg.b_tilde
+    beta = bt - b
+    ratio = 2.0 * beta / b
+    m11 = 1.0 + ratio * n / (n + 1)
+    # (2/b)^n reduced to a parity sign for b = -2; never a floating-point power.
+    corner_sign = 1.0 if (b == 2 or n % 2 == 0) else -1.0
+    m12 = beta * corner_sign / (n + 1)
+
+    gamma = (2.0 - bt) / (1.0 - bt) if (b == 2 and bt != 1.0) else None
+    gamma_plus = (2.0 + bt) / (1.0 + bt) if (b == -2 and bt != -1.0) else None
+    return DerivedParams(
+        beta=beta, gamma=gamma, gamma_plus=gamma_plus, m11=m11, m12=m12, delta=_delta_factored(cfg)
+    )
+
+
+def index_grid(cfg):
+    """The closed-form grid evaluated on broadcast min/max index arrays.
+
+    This is how ``core._inverse_grid`` computed the grid before it was
+    built from the two generators; kept as its bitwise reference.
+    """
+    n = cfg.n
+    beta = cfg.b_tilde - cfg.b
+    r = 2.0 * beta / cfg.b
+    i = np.arange(1, n + 1, dtype=float)[:, None]
+    j = np.arange(1, n + 1, dtype=float)[None, :]
+    lo = np.minimum(i, j)
+    hi = np.maximum(i, j)
+    vals = (
+        (lo * (1.0 + r) - r)
+        * ((n - hi) * (1.0 + r) + 1.0)
+        / ((1.0 + r) * (n + 1 + r * (n - 1)))
+    )
+    if cfg.b == -2:
+        parity = (hi + 1 - lo).astype(int) % 2
+        vals = np.where(parity == 1, -vals, vals)
+    return vals
+
+
+def tril_mirror_assembly(cfg, scaled=False):
+    """``index_grid`` mirrored as tril(vals) + tril(vals, -1).T, the former assembly."""
+    vals = index_grid(cfg)
+    entries = np.tril(vals) + np.tril(vals, -1).T
+    if scaled:
+        entries = entries / (-cfg.c_hat)
+    return entries
+
+
+def masked_gauss_jordan(m):
+    """Gauss-Jordan with partial pivoting that updates the non-pivot rows through a mask.
+
+    This is the elimination step ``oracle.reference_inverse`` used before it
+    updated every row in place; kept as its bitwise reference, with the same
+    PIVOT_RTOL breakdown rule and message.
+    """
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    scale = np.max(np.abs(a))
+    if scale == 0.0:
+        raise PivotBreakdownError("zero matrix")
+    aug = np.hstack([a, np.eye(n)])
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(aug[col:, col])))
+        pivot = aug[p, col]
+        if abs(pivot) <= PIVOT_RTOL * scale:
+            raise PivotBreakdownError(
+                f"pivot {pivot:.3e} at column {col + 1} below threshold "
+                f"{PIVOT_RTOL * scale:.3e}"
+            )
+        if p != col:
+            aug[[col, p]] = aug[[p, col]]
+        aug[col] /= aug[col, col]
+        rest = np.arange(n) != col
+        aug[rest] -= np.outer(aug[rest, col], aug[col])
+    return aug[:, n:]
+
+
+def bitwise_equal(a, b):
+    """Same shape, same values (nan in the same places) and the same sign on every zero."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def regime_corners(n, b):
+    """Corners in all five bound regimes, both signed zeros, and 1e-9 from each singular point."""
+    s = 1.0 if b > 0 else -1.0
+    lo, hi = (n - 3) / (n - 1), (n - 2) / (n - 1)
+    plus = [5.93, 2.0, 1.5, hi, 0.5 * (lo + hi), 0.5 * lo, -3.7, -0.4]
+    plus += [1.0 + 1e-9, 1.0 - 1e-9, lo + 1e-9, lo - 1e-9]
+    return [s * bt for bt in plus] + [0.0, -0.0]

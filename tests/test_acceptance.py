@@ -25,7 +25,6 @@ from neartoeplitz import (
     PivotBreakdownError,
     assemble_inverse,
     build_matrix,
-    derived_params,
     exact_infinity_norm,
     is_singular,
     lower_bound,
@@ -50,6 +49,7 @@ from helpers import (
     SWEEP_N,
     btilde_samples,
     closed_form_entries,
+    derived_params,
     fit_printed_corner,
     oracle_entries,
 )

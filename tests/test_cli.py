@@ -180,6 +180,13 @@ class TestExitCodes:
         assert code == 2
         assert "error" in json.loads(err)
 
+    def test_order_above_dense_cap_is_2(self, capsys):
+        for command in ("invert", "norm", "bounds"):
+            code, out, err = run_cli(capsys, command, "--n", "100000", "--b", "2", "--btilde", "3")
+            assert code == 2
+            assert out == ""
+            assert json.loads(err)["error"]["type"] == "DenseSizeError"
+
     def test_index_error_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "entry", "--n", "5", "--b", "2", "--btilde", "3",
                              "--i", "9", "--j", "1")

@@ -1,26 +1,40 @@
 """Entry formulas, derived parameters, singularity detection, assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neartoeplitz import (
+    DenseSizeError,
     MatrixConfig,
     SingularMatrixError,
     assemble_inverse,
+    bounds_report,
     build_matrix,
     delta_below_threshold,
-    derived_params,
+    exact_infinity_norm,
     is_singular,
     near_toeplitz_inverse_entry,
     reference_inverse,
     toeplitz_inverse_entry,
     upper_bound,
 )
-from neartoeplitz.core import _entry_b2_simplified, _inverse_solver
+from neartoeplitz.core import _MAX_DENSE_ORDER, _inverse_grid, _inverse_solver
 
-from helpers import banded_lu_solve, btilde_samples, oracle_entries
+from helpers import (
+    banded_lu_solve,
+    bitwise_equal,
+    btilde_samples,
+    derived_params,
+    entry_b2_simplified,
+    index_grid,
+    oracle_entries,
+    regime_corners,
+    tril_mirror_assembly,
+)
 
 
 def tridiag(n, b):
@@ -59,6 +73,17 @@ class TestToeplitzEntry:
                 plus = toeplitz_inverse_entry(6, 2, i, j)
                 minus = toeplitz_inverse_entry(6, -2, i, j)
                 assert minus == pytest.approx((-1.0) ** (abs(i - j) + 1) * plus, rel=1e-15)
+
+    def test_exact_integer_formula(self):
+        for n in range(1, 41):
+            for b in (2, -2):
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        lo, hi = min(i, j), max(i, j)
+                        want = lo * (n + 1 - hi) / (n + 1)
+                        if b == -2 and (hi + 1 - lo) % 2 == 1:
+                            want = -want
+                        assert toeplitz_inverse_entry(n, b, i, j) == want
 
     def test_all_positive_for_b2(self):
         vals = [toeplitz_inverse_entry(8, 2, i, j) for i in range(1, 9) for j in range(1, 9)]
@@ -194,7 +219,7 @@ class TestNearToeplitzEntry:
                 cfg = MatrixConfig(n, 2, float(bt))
                 for i, j in [(1, 1), (3, 2), (n, 1), (n // 2, n // 2), (2, n)]:
                     a = near_toeplitz_inverse_entry(cfg, i, j)
-                    b = _entry_b2_simplified(n, float(bt), i, j)
+                    b = entry_b2_simplified(n, float(bt), i, j)
                     assert a == pytest.approx(b, rel=1e-12, abs=1e-13)
 
 
@@ -285,6 +310,57 @@ class TestAssembleInverse:
             closed = assemble_inverse(MatrixConfig(n, b, bt)).entries
             ref = oracle_entries(n, b, bt)
             assert np.max(np.abs(closed - ref)) <= 1e-9
+
+
+def entry_pairs(n):
+    """Every (i, j) for n <= 10; otherwise all pairs of 1, 2, 3, n/2, n/2 + 1, n-2, n-1 and n."""
+    idx = range(1, n + 1) if n <= 10 else sorted({1, 2, 3, n // 2, n // 2 + 1, n - 2, n - 1, n})
+    return [(i, j) for i in idx for j in idx]
+
+
+class TestGeneratorGrid:
+    """The grid built from the generators against the min/max index grid, bit for bit."""
+
+    @pytest.mark.parametrize("n", [*range(4, 61), 257])
+    def test_bitwise_equal_to_index_grid(self, n):
+        for b in (2, -2):
+            for bt in regime_corners(n, b):
+                cfg = MatrixConfig(n, b, bt)
+                assert np.array_equal(_inverse_grid(cfg), index_grid(cfg)), (b, bt)
+                entries = assemble_inverse(cfg).entries
+                assert bitwise_equal(entries, tril_mirror_assembly(cfg)), (b, bt)
+                assert np.array_equal(entries, entries.T)
+                assert not np.signbit(entries[entries == 0.0]).any(), (b, bt)
+                for i, j in entry_pairs(n):
+                    assert near_toeplitz_inverse_entry(cfg, i, j) == entries[i - 1, j - 1]
+                for c_hat in (2.5, -0.3):
+                    scaled = MatrixConfig(n, b, bt, c_hat=c_hat)
+                    got = assemble_inverse(scaled, scaled=True).entries
+                    assert bitwise_equal(got, tril_mirror_assembly(scaled, scaled=True)), (b, bt)
+
+    def test_signed_zero_corners_give_zero_entries(self):
+        # b_tilde = 0 makes u_2 and v_{n-1} vanish: the +0.0 normalisation is exercised.
+        for b, bt in ((2, 0.0), (2, -0.0), (-2, 0.0), (-2, -0.0)):
+            cfg = MatrixConfig(12, b, bt)
+            reference = index_grid(cfg)
+            assert np.signbit(reference[reference == 0.0]).any()
+            entries = assemble_inverse(cfg).entries
+            assert (entries == 0.0).sum() == 4 * 12 - 8
+            assert not np.signbit(entries[entries == 0.0]).any()
+
+
+class TestDenseSizeCap:
+    def test_refused_above_the_cap_before_allocating(self):
+        cfg = MatrixConfig(_MAX_DENSE_ORDER + 1, 2, 3.0)
+        tracemalloc.start()
+        try:
+            for dense in (_inverse_grid, assemble_inverse, exact_infinity_norm, bounds_report):
+                with pytest.raises(DenseSizeError, match=str(_MAX_DENSE_ORDER)):
+                    dense(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 EPS = np.finfo(float).eps

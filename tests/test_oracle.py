@@ -13,6 +13,8 @@ from neartoeplitz import (
     reference_trace,
 )
 
+from helpers import bitwise_equal, masked_gauss_jordan, regime_corners
+
 
 def tridiag(n, b):
     m = np.diag(np.full(n, float(b))) + np.diag(np.full(n - 1, -1.0), 1) + np.diag(np.full(n - 1, -1.0), -1)
@@ -86,3 +88,53 @@ class TestReferenceSummaries:
         m = build_matrix(MatrixConfig(8, 2, -1.7))
         inv = reference_inverse(m)
         assert np.allclose(reference_rowsums(m), inv.entries.sum(axis=1), rtol=1e-14)
+
+
+def outcome(invert, m):
+    """The inverse, or the breakdown message."""
+    try:
+        return invert(m)
+    except PivotBreakdownError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(m):
+    got = outcome(lambda a: reference_inverse(a).entries, m)
+    want = outcome(masked_gauss_jordan, m)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert bitwise_equal(got, want)
+
+
+class TestInPlaceElimination:
+    """The in-place row update against the masked Gauss-Jordan step, bit for bit."""
+
+    def test_operator_sweep(self):
+        for n in (4, 5, 6, 7, 8, 9, 12, 17, 24, 31, 60):
+            for b in (2, -2):
+                for bt in regime_corners(n, b):
+                    assert_same_outcome(build_matrix(MatrixConfig(n, b, bt)).data)
+                    assert_same_outcome(build_matrix(MatrixConfig(n, b, bt, 2.5), scaled=True).data)
+
+    def test_same_breakdown_at_both_singular_corners(self):
+        for n in (4, 5, 6, 9, 16, 31, 60):
+            for b in (2, -2):
+                for bt in MatrixConfig(n, b, 2.0).singular_points():
+                    m = build_matrix(MatrixConfig(n, b, bt)).data
+                    with pytest.raises(PivotBreakdownError):
+                        reference_inverse(m)
+                    assert_same_outcome(m)
+
+    def test_random_dense(self):
+        rng = np.random.default_rng(20261018)
+        for trial in range(300):
+            n = int(rng.integers(1, 25))
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+            if trial % 3 == 0:
+                m[rng.random((n, n)) < 0.5] = -0.0
+            if trial % 5 == 0 and n > 1:
+                m[:, -1] = m[:, 0]
+            assert_same_outcome(m)
+        assert_same_outcome(np.zeros((3, 3)))
+        assert_same_outcome(np.diag([-1.0, -2.0, 4.0]))
