@@ -4,19 +4,21 @@ Closed-form inverse entries, traces, row sums, sign patterns, exact infinity
 norms and their lower/upper bounds, an independent dense reference path, and
 a fixed-point solver for discretized u'' = f(u) problems whose contraction
 rate is certified by those bounds.
+
+Result types and MatrixConfig are public because public functions take or return them.
+The errors are public because callers catch them and the CLI maps them to exit codes.
+The oracle is public as the independent reference for the tests and the benchmark checks.
+Other functions are public because the CLI, a demo or the benchmark calls them, except
+lipschitz_constant and default_initial_iterate, which state what solve_fixed_point assumes.
 """
 
 from .analysis import (
     BoundsReport,
-    RowSumReport,
-    SignPattern,
     UpperBound,
     bounds_report,
     exact_infinity_norm,
     lower_bound,
     rowsum,
-    rowsum_bounds,
-    rowsum_report,
     rowsums,
     sign_pattern,
     trace_inverse,
@@ -32,7 +34,6 @@ from .bvp import (
 )
 from .config import (
     MatrixConfig,
-    delta_below_threshold,
     is_singular,
     singularity_report,
 )
@@ -68,8 +69,6 @@ __all__ = [
     "InverseMatrix",
     "MatrixConfig",
     "PivotBreakdownError",
-    "RowSumReport",
-    "SignPattern",
     "SingularMatrixError",
     "UnsupportedCaseError",
     "UpperBound",
@@ -77,7 +76,6 @@ __all__ = [
     "bounds_report",
     "build_matrix",
     "default_initial_iterate",
-    "delta_below_threshold",
     "exact_infinity_norm",
     "expected_rate",
     "is_singular",
@@ -89,8 +87,6 @@ __all__ = [
     "reference_rowsums",
     "reference_trace",
     "rowsum",
-    "rowsum_bounds",
-    "rowsum_report",
     "rowsums",
     "sign_pattern",
     "singularity_report",

@@ -15,27 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import MatrixConfig, require_nonsingular
-from .core import _inverse_grid
+from .config import MatrixConfig, require_dense_order, require_nonsingular
+from .core import _inverse_grid, _parity
 from .errors import UnsupportedCaseError
-
-
-@dataclass
-class RowSumReport:
-    """All n row sums plus the (b = 2 only) lower/upper row-sum bounds."""
-
-    n: int
-    values: np.ndarray
-    lower: float | None
-    upper: float | None
-
-
-@dataclass
-class SignPattern:
-    """Predicted entrywise signs of the inverse, as an n x n array over {-1, 0, +1}."""
-
-    n: int
-    pattern: np.ndarray
 
 
 class UpperBound(NamedTuple):
@@ -82,7 +64,7 @@ def _rowsums_bm2(n: int, b_tilde: float) -> np.ndarray:
     # beta here is b_tilde + 2; even and odd n have distinct closed forms.
     beta = b_tilde + 2.0
     i = np.arange(1, n + 1, dtype=float)
-    sign = np.where(i.astype(int) % 2 == 0, 1.0, -1.0)
+    sign = _parity(n)
     if n % 2 == 0:
         variable = (beta * n - i * (beta + 1.0)) / (2.0 * (n + 1 - beta * (n - 1)))
     else:
@@ -121,18 +103,8 @@ def rowsum_bounds(cfg: MatrixConfig) -> tuple[float, float]:
     return lower, upper
 
 
-def rowsum_report(cfg: MatrixConfig) -> RowSumReport:
-    """Row sums plus bounds (bounds populated only for b = 2)."""
-    values = rowsums(cfg)
-    if cfg.b == 2:
-        lower, upper = rowsum_bounds(cfg)
-    else:
-        lower = upper = None
-    return RowSumReport(n=cfg.n, values=values, lower=lower, upper=upper)
-
-
-def sign_pattern(cfg: MatrixConfig) -> SignPattern:
-    """Predicted sign of every inverse entry; defined for b = 2 and b_tilde <= 0.
+def sign_pattern(cfg: MatrixConfig) -> np.ndarray:
+    """Predicted signs of the inverse as an n x n int8 array; b = 2, b_tilde <= 0, n <= 2**14.
 
     b_tilde < 0: +1 on the interior block {2..n-1}^2 and at the two
     antidiagonal corners (1,n), (n,1); -1 elsewhere.
@@ -143,6 +115,7 @@ def sign_pattern(cfg: MatrixConfig) -> SignPattern:
     if cfg.b != 2 or cfg.b_tilde > 0:
         raise UnsupportedCaseError("sign pattern is stated for b = +2 with b_tilde <= 0")
     require_nonsingular(cfg)
+    require_dense_order(cfg.n)
     n = cfg.n
     pattern = -np.ones((n, n), dtype=np.int8)
     if cfg.b_tilde < 0:
@@ -155,7 +128,7 @@ def sign_pattern(cfg: MatrixConfig) -> SignPattern:
         pattern[:, 1] = pattern[:, n - 2] = 0
         pattern[0, 1] = pattern[1, 0] = -1
         pattern[n - 2, n - 1] = pattern[n - 1, n - 2] = -1
-    return SignPattern(n=n, pattern=pattern)
+    return pattern
 
 
 def exact_infinity_norm(cfg: MatrixConfig) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import upper_bound
 from .config import MatrixConfig, require_nonsingular
-from .core import _inverse_solver
+from .core import _inverse_solver, _parity
 from .errors import DivergenceError
 
 FISHER = "fisher"
@@ -92,16 +92,14 @@ def lipschitz_constant(
     raise ValueError(f"nonlinearity must be 'fisher' or 'bratu', got {nonlinearity!r}")
 
 
-def expected_rate(prob: BvpProblem, bounds: tuple[float, float] = (0.0, 1.0)) -> float:
+def expected_rate(prob: BvpProblem) -> float:
     """Contraction rate predicted by the norm bound: h^2 * U * L_c / |c_hat|.
 
     U is the upper bound for the normalized operator; dividing by |c_hat|
-    converts it to the scaled system actually iterated.  The Lipschitz
-    constant is taken over ``bounds``, by default the unit iterate range.
+    converts it to the scaled system actually iterated.  L_c is taken over [0, 1].
     """
-    require_nonsingular(prob.cfg)
     u = upper_bound(prob.cfg).value
-    lc = lipschitz_constant(prob.nonlinearity, prob.k_coef, bounds)
+    lc = lipschitz_constant(prob.nonlinearity, prob.k_coef, (0.0, 1.0))
     return prob.h**2 * u * lc / abs(prob.cfg.c_hat)
 
 
@@ -115,7 +113,7 @@ def default_initial_iterate(prob: BvpProblem) -> np.ndarray:
     i = np.arange(1, prob.n + 1, dtype=float)
     u = np.sin(np.pi * i / (prob.n + 1))
     if prob.cfg.b < 0:
-        u = u * np.where(i.astype(int) % 2 == 1, 1.0, -1.0)
+        u = u * -_parity(prob.n)
     return 0.5 * u / np.abs(u).max()
 
 

@@ -15,7 +15,9 @@ import sys
 import numpy as np
 
 from . import tables
-from .analysis import bounds_report, exact_infinity_norm, rowsum, rowsum_report, sign_pattern, trace_inverse
+from .analysis import (
+    bounds_report, exact_infinity_norm, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
+)
 from .bvp import BvpProblem, solve_fixed_point
 from .config import MatrixConfig, singularity_report
 from .core import assemble_inverse, near_toeplitz_inverse_entry, toeplitz_inverse_entry
@@ -121,8 +123,8 @@ def cmd_rowsum(args) -> dict:
     if args.i is not None:
         outputs = {"i": args.i, "rowsum": rowsum(cfg, args.i)}
     else:
-        rep = rowsum_report(cfg)
-        outputs = {"values": rep.values, "lower": rep.lower, "upper": rep.upper}
+        lower, upper = rowsum_bounds(cfg) if cfg.b == 2 else (None, None)
+        outputs = {"values": rowsums(cfg), "lower": lower, "upper": upper}
     return _record("rowsum", _cfg_inputs(args) | {"i": args.i}, outputs)
 
 
@@ -142,8 +144,7 @@ def cmd_bounds(args) -> dict:
 
 
 def cmd_signs(args) -> dict:
-    pat = sign_pattern(_cfg(args))
-    return _record("signs", _cfg_inputs(args), {"n": pat.n, "pattern": pat.pattern})
+    return _record("signs", _cfg_inputs(args), {"n": args.n, "pattern": sign_pattern(_cfg(args))})
 
 
 def cmd_singular(args) -> dict:
@@ -251,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _error_object(command: str, exc: Exception) -> str:
     payload = {"command": command, "error": {"type": type(exc).__name__, "message": str(exc)}}
+    if getattr(exc, "partial", None) is not None:
+        fields = ("iterations", "observed_rate", "expected_rate")
+        payload["partial"] = _round10({key: getattr(exc.partial, key) for key in fields})
     return json.dumps(payload) + "\n"
 
 
@@ -263,16 +267,7 @@ def main(argv=None) -> int:
         sys.stderr.write(_error_object(args.command, exc))
         return EXIT_SINGULAR
     except DivergenceError as exc:
-        payload = {"command": args.command, "error": {"type": "DivergenceError", "message": str(exc)}}
-        if exc.partial is not None:
-            payload["partial"] = _round10(
-                {
-                    "iterations": exc.partial.iterations,
-                    "observed_rate": exc.partial.observed_rate,
-                    "expected_rate": exc.partial.expected_rate,
-                }
-            )
-        sys.stderr.write(json.dumps(payload) + "\n")
+        sys.stderr.write(_error_object(args.command, exc))
         return EXIT_DIVERGED
     except (ValueError, IndexError) as exc:
         sys.stderr.write(_error_object(args.command, exc))

@@ -13,10 +13,12 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import SingularMatrixError
+from .errors import DenseSizeError, SingularMatrixError
 
 #: Default half-width of the singular neighborhoods on the b_tilde axis.
 SINGULARITY_TOL = 1e-10
+#: Largest order of an n x n result: one float64 array at the cap takes 2 GiB.
+_MAX_DENSE_ORDER = 2**14
 
 
 @dataclass(frozen=True)
@@ -107,3 +109,9 @@ def require_nonsingular(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> None
             f"corner value {cfg.b_tilde} is within {tol} of a singular point "
             f"({s1} or {s2:.17g}) at n={cfg.n}, b={cfg.b}"
         )
+
+
+def require_dense_order(n: int) -> None:
+    """Raise :class:`DenseSizeError` for orders above the cap, before anything n x n is allocated."""
+    if n > _MAX_DENSE_ORDER:
+        raise DenseSizeError(f"order {n} is above {_MAX_DENSE_ORDER}, the cap on dense n x n grids")

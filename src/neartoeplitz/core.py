@@ -11,14 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MatrixConfig, require_nonsingular
-from .errors import DenseSizeError
+from .config import MatrixConfig, require_dense_order, require_nonsingular
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
 
-#: Largest order of an n x n grid: one float64 array at the cap takes 2 GiB.
-_MAX_DENSE_ORDER = 2**14
 #: Rows per band of the grid; a band of 64 rows at n = 3000 is 1.5 MB.
 _BAND = 64
 
@@ -37,12 +34,22 @@ def _check_index(n: int, i: int, j: int) -> None:
         raise IndexError(f"indices must lie in 1..{n}, got (i={i}, j={j})")
 
 
+def _generators(n: int, r: float, j, i):
+    """(u_j, v_i, D) at corner ratio r, for scalar or array indices j and i."""
+    return j * (1.0 + r) - r, (n - i) * (1.0 + r) + 1.0, (1.0 + r) * (n + 1 + r * (n - 1))
+
+
+def _parity(n: int) -> np.ndarray:
+    """sigma_i = (-1)^i, i = 1..n: A_{-2}(bt)^{-1} = -S A_{+2}(-bt)^{-1} S with S = diag(sigma)."""
+    return np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
+
+
 def _entry(n: int, b: int, r: float, i: int, j: int) -> float:
     """s_ij u_min(i,j) v_max(i,j) / D at corner ratio r; r = 0 is the Toeplitz inverse."""
     if i < j:
         i, j = j, i
-    value = (j * (1.0 + r) - r) * ((n - i) * (1.0 + r) + 1.0)
-    value /= (1.0 + r) * (n + 1 + r * (n - 1))
+    u, v, d = _generators(n, r, j, i)
+    value = u * v / d
     if b == -2 and (i + 1 - j) % 2 == 1:
         value = -value
     return value
@@ -90,24 +97,20 @@ def near_toeplitz_inverse_entry(
 def _inverse_grid(cfg: MatrixConfig) -> np.ndarray:
     """All n x n entries s_ij u_min(i,j) v_max(i,j) / D, built from the generators.
 
-    u_k, v_k and D are the factors of ``_entry``; for b = -2 the parity sign
+    u_k, v_k and D come from ``_generators``; for b = -2 the parity sign
     (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v.  Bands of _BAND rows
     go into the one n x n array and are divided by D while in cache.  Each
     diagonal block mirrors its lower part, so the grid is exactly symmetric.
     Orders above 2**14 raise DenseSizeError before anything is allocated.
     """
     n = cfg.n
-    if n > _MAX_DENSE_ORDER:
-        raise DenseSizeError(f"order {n} is above {_MAX_DENSE_ORDER}, the cap on dense n x n grids")
-    r = 2.0 * (cfg.b_tilde - cfg.b) / cfg.b
+    require_dense_order(n)
     k = np.arange(1, n + 1, dtype=float)
-    u = k * (1.0 + r) - r
-    v = (n - k) * (1.0 + r) + 1.0
+    u, v, d = _generators(n, 2.0 * (cfg.b_tilde - cfg.b) / cfg.b, k, k)
     if cfg.b == -2:
-        sigma = np.where(k % 2 == 0, 1.0, -1.0)
+        sigma = _parity(n)
         u *= sigma
         v *= -sigma
-    d = (1.0 + r) * (n + 1 + r * (n - 1))
     grid = np.empty((n, n))
     upper = ~np.tri(_BAND, dtype=bool)
     for s in range(0, n, _BAND):
@@ -157,7 +160,7 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
         pre = scale * k
         post = k
     else:
-        sigma = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
+        sigma = _parity(n)
         pre = -scale * sigma * k
         post = sigma * k
     buf = np.empty(n)

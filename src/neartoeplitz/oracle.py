@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MatrixConfig
+from .config import MatrixConfig, require_dense_order
 from .core import ORACLE, InverseMatrix
 from .errors import PivotBreakdownError
 
@@ -30,9 +30,10 @@ class DenseMatrix:
 def build_matrix(cfg: MatrixConfig, scaled: bool = False) -> DenseMatrix:
     """Place b on the diagonal, -1 off it, b_tilde at both corners.
 
-    ``scaled=True`` multiplies everything by -c_hat.
+    ``scaled=True`` multiplies everything by -c_hat; orders above 2**14 raise DenseSizeError.
     """
     n = cfg.n
+    require_dense_order(n)
     data = np.zeros((n, n))
     np.fill_diagonal(data, float(cfg.b))
     idx = np.arange(n - 1)

@@ -212,7 +212,7 @@ def test_criterion_06_sign_patterns():
             ref = oracle_entries(n, 2, bt)
             signs = np.sign(ref)
             signs[np.abs(ref) <= 1e-12] = 0
-            if not np.array_equal(sign_pattern(cfg).pattern, signs.astype(int)):
+            if not np.array_equal(sign_pattern(cfg), signs.astype(int)):
                 mismatches.append((n, bt))
     _report(6, "sign patterns", not mismatches)
     assert not mismatches, mismatches

@@ -18,13 +18,12 @@ from neartoeplitz import (
     reference_rowsums,
     reference_trace,
     rowsum,
-    rowsum_bounds,
-    rowsum_report,
     rowsums,
     sign_pattern,
     trace_inverse,
     upper_bound,
 )
+from neartoeplitz.analysis import rowsum_bounds
 
 from helpers import btilde_samples
 
@@ -107,22 +106,16 @@ class TestRowSumBounds:
         with pytest.raises(UnsupportedCaseError):
             rowsum_bounds(MatrixConfig(6, -2, 0.5))
 
-    def test_report_carries_bounds_only_for_b2(self):
-        rep = rowsum_report(MatrixConfig(6, 2, 0.2))
-        assert rep.lower is not None and rep.upper is not None
-        rep = rowsum_report(MatrixConfig(6, -2, 0.2))
-        assert rep.lower is None and rep.upper is None
-
 
 class TestSignPattern:
     def test_negative_corner_pins(self):
-        pat = sign_pattern(MatrixConfig(5, 2, -1.0)).pattern
+        pat = sign_pattern(MatrixConfig(5, 2, -1.0))
         assert pat[0, 0] == -1
         assert pat[2, 2] == 1
         assert pat[0, 4] == 1
 
     def test_zero_corner_pins(self):
-        pat = sign_pattern(MatrixConfig(6, 2, 0.0)).pattern
+        pat = sign_pattern(MatrixConfig(6, 2, 0.0))
         assert pat[1, 3] == 0
         assert pat[0, 1] == -1
 
@@ -133,10 +126,10 @@ class TestSignPattern:
                 ref = reference_inverse(build_matrix(cfg)).entries
                 signs = np.sign(ref)
                 signs[np.abs(ref) <= 1e-12] = 0
-                assert np.array_equal(sign_pattern(cfg).pattern, signs.astype(int))
+                assert np.array_equal(sign_pattern(cfg), signs.astype(int))
 
     def test_symmetric_and_centrosymmetric(self):
-        pat = sign_pattern(MatrixConfig(9, 2, -0.25)).pattern
+        pat = sign_pattern(MatrixConfig(9, 2, -0.25))
         assert np.array_equal(pat, pat.T)
         assert np.array_equal(pat, pat[::-1, ::-1])
 

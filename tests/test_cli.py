@@ -186,6 +186,9 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert json.loads(err)["error"]["type"] == "DenseSizeError"
+        code, out, err = run_cli(capsys, "signs", "--n", "100000", "--b", "2", "--btilde", "-1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "DenseSizeError"
 
     def test_index_error_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "entry", "--n", "5", "--b", "2", "--btilde", "3",

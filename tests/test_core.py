@@ -14,15 +14,16 @@ from neartoeplitz import (
     assemble_inverse,
     bounds_report,
     build_matrix,
-    delta_below_threshold,
     exact_infinity_norm,
     is_singular,
     near_toeplitz_inverse_entry,
     reference_inverse,
+    sign_pattern,
     toeplitz_inverse_entry,
     upper_bound,
 )
-from neartoeplitz.core import _MAX_DENSE_ORDER, _inverse_grid, _inverse_solver
+from neartoeplitz.config import _MAX_DENSE_ORDER, delta_below_threshold
+from neartoeplitz.core import _inverse_grid, _inverse_solver
 
 from helpers import (
     banded_lu_solve,
@@ -352,11 +353,15 @@ class TestGeneratorGrid:
 class TestDenseSizeCap:
     def test_refused_above_the_cap_before_allocating(self):
         cfg = MatrixConfig(_MAX_DENSE_ORDER + 1, 2, 3.0)
+        calls = [(dense, cfg) for dense in (_inverse_grid, assemble_inverse, exact_infinity_norm,
+                                            bounds_report, build_matrix)]
+        # The sign pattern is stated for b_tilde <= 0 only.
+        calls.append((sign_pattern, MatrixConfig(_MAX_DENSE_ORDER + 1, 2, -1.0)))
         tracemalloc.start()
         try:
-            for dense in (_inverse_grid, assemble_inverse, exact_infinity_norm, bounds_report):
+            for dense, c in calls:
                 with pytest.raises(DenseSizeError, match=str(_MAX_DENSE_ORDER)):
-                    dense(cfg)
+                    dense(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
