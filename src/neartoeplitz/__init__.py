@@ -10,7 +10,12 @@ The errors are public because callers catch them and the CLI maps them to exit c
 The oracle is public as the independent reference for the tests and the benchmark checks.
 Other functions are public because the CLI, a demo or the benchmark calls them, except
 lipschitz_constant and default_initial_iterate, which state what solve_fixed_point assumes.
+
+numpy is imported only by code that builds an array: the bvp and oracle modules, array code
+throughout, load on first use of one of their names, so scalar results never import numpy.
 """
+
+from importlib import import_module
 
 from .analysis import (
     BoundsReport,
@@ -23,14 +28,6 @@ from .analysis import (
     sign_pattern,
     trace_inverse,
     upper_bound,
-)
-from .bvp import (
-    BvpProblem,
-    BvpResult,
-    default_initial_iterate,
-    expected_rate,
-    lipschitz_constant,
-    solve_fixed_point,
 )
 from .config import (
     MatrixConfig,
@@ -50,14 +47,21 @@ from .errors import (
     SingularMatrixError,
     UnsupportedCaseError,
 )
-from .oracle import (
-    DenseMatrix,
-    build_matrix,
-    reference_inverse,
-    reference_norm,
-    reference_rowsums,
-    reference_trace,
-)
+
+_LAZY = {name: module for module, names in (
+    ("bvp", ("BvpProblem", "BvpResult", "default_initial_iterate", "expected_rate",
+             "lipschitz_constant", "solve_fixed_point")),
+    ("oracle", ("DenseMatrix", "build_matrix", "reference_inverse", "reference_norm",
+                "reference_rowsums", "reference_trace")),
+) for name in names}
+
+
+def __getattr__(name):
+    """Load a bvp or oracle name on first use and keep it in the package namespace (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(import_module(f".{_LAZY[name]}", __name__), name))
+
 
 __all__ = [
     "BoundsReport",

@@ -10,14 +10,16 @@ coincide).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import MatrixConfig, require_dense_order, require_nonsingular
 from .core import _inverse_grid, _parity
 from .errors import UnsupportedCaseError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UpperBound(NamedTuple):
@@ -55,16 +57,14 @@ def trace_inverse(cfg: MatrixConfig) -> float:
     )
 
 
-def _rowsums_b2(n: int, b_tilde: float) -> np.ndarray:
-    i = np.arange(1, n + 1, dtype=float)
-    return 0.5 * i * (n + 1 - i) - (n / 2.0) * (b_tilde - 2.0) / (b_tilde - 1.0)
-
-
-def _rowsums_bm2(n: int, b_tilde: float) -> np.ndarray:
+def _rowsum(cfg: MatrixConfig, i):
+    """Row sum at the 1-based row i, an integer or integer array; closed forms for b = +2 / -2."""
+    n, bt = cfg.n, cfg.b_tilde
+    if cfg.b == 2:
+        return 0.5 * i * (n + 1 - i) - (n / 2.0) * (bt - 2.0) / (bt - 1.0)
     # beta here is b_tilde + 2; even and odd n have distinct closed forms.
-    beta = b_tilde + 2.0
-    i = np.arange(1, n + 1, dtype=float)
-    sign = _parity(n)
+    beta = bt + 2.0
+    sign = _parity(i)
     if n % 2 == 0:
         variable = (beta * n - i * (beta + 1.0)) / (2.0 * (n + 1 - beta * (n - 1)))
     else:
@@ -74,17 +74,19 @@ def _rowsums_bm2(n: int, b_tilde: float) -> np.ndarray:
 
 def rowsums(cfg: MatrixConfig) -> np.ndarray:
     """All n row sums of the inverse, from the closed forms for b = +2 / -2."""
+    import numpy as np
+
     require_nonsingular(cfg)
-    if cfg.b == 2:
-        return _rowsums_b2(cfg.n, cfg.b_tilde)
-    return _rowsums_bm2(cfg.n, cfg.b_tilde)
+    return _rowsum(cfg, np.arange(1, cfg.n + 1))
 
 
 def rowsum(cfg: MatrixConfig, i: int) -> float:
-    """Row sum of row i (1-based) of the inverse."""
+    """Row sum of row i (1-based) of the inverse, in O(1): the expression ``rowsums`` evaluates."""
+    i = operator.index(i)
     if not 1 <= i <= cfg.n:
         raise IndexError(f"row index must lie in 1..{cfg.n}, got {i}")
-    return float(rowsums(cfg)[i - 1])
+    require_nonsingular(cfg)
+    return _rowsum(cfg, i)
 
 
 def rowsum_bounds(cfg: MatrixConfig) -> tuple[float, float]:
@@ -112,6 +114,8 @@ def sign_pattern(cfg: MatrixConfig) -> np.ndarray:
     b_tilde = 0: rows/columns 2 and n-1 vanish except next to the corners,
     the +1 block shrinks to {3..n-2}^2, and the remaining frame is -1.
     """
+    import numpy as np
+
     if cfg.b != 2 or cfg.b_tilde > 0:
         raise UnsupportedCaseError("sign pattern is stated for b = +2 with b_tilde <= 0")
     require_nonsingular(cfg)
@@ -137,6 +141,8 @@ def exact_infinity_norm(cfg: MatrixConfig) -> float:
     Rows mix signs for b_tilde < 1, so the row reduction relies on numpy's
     pairwise summation.  Orders above 2**14 raise DenseSizeError.
     """
+    import numpy as np
+
     require_nonsingular(cfg)
     vals = _inverse_grid(cfg)
     return float(np.abs(vals, out=vals).sum(axis=1).max())

@@ -113,7 +113,7 @@ def default_initial_iterate(prob: BvpProblem) -> np.ndarray:
     i = np.arange(1, prob.n + 1, dtype=float)
     u = np.sin(np.pi * i / (prob.n + 1))
     if prob.cfg.b < 0:
-        u = u * -_parity(prob.n)
+        u = u * -_parity(np.arange(1, prob.n + 1))
     return 0.5 * u / np.abs(u).max()
 
 

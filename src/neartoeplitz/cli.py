@@ -12,13 +12,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import tables
 from .analysis import (
     bounds_report, exact_infinity_norm, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
 )
-from .bvp import BvpProblem, solve_fixed_point
 from .config import MatrixConfig, singularity_report
 from .core import assemble_inverse, near_toeplitz_inverse_entry, toeplitz_inverse_entry
 from .errors import DivergenceError, SingularMatrixError
@@ -31,12 +28,10 @@ EXIT_DIVERGED = 4
 
 def _round10(obj):
     """Recursively round floats to 10 significant digits for stable output."""
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.10g}")
-    if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
-        return obj if not isinstance(obj, np.integer) else int(obj)
-    if isinstance(obj, np.ndarray):
-        return _round10(obj.tolist())
+    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python lists and values
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
     if isinstance(obj, (list, tuple)):
         return [_round10(v) for v in obj]
     if isinstance(obj, dict):
@@ -45,9 +40,7 @@ def _round10(obj):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.10g}"
-    return str(value)
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def _record(command: str, inputs: dict, outputs: dict, branch: str | None = None) -> dict:
@@ -61,13 +54,11 @@ def _render_csv(rec: dict) -> str:
     lines = ["field,value", f"command,{rec['command']}"]
     for section in ("inputs", "outputs"):
         for key, value in rec[section].items():
-            if isinstance(value, (list, np.ndarray)):
-                flat = np.asarray(value)
-                if flat.ndim == 2:
-                    for row in flat:
-                        lines.append(f"{section}.{key}," + ",".join(_fmt(v) for v in row))
-                else:
-                    lines.append(f"{section}.{key}," + ",".join(_fmt(v) for v in flat))
+            if hasattr(value, "tolist"):
+                value = value.tolist()
+            if isinstance(value, list):
+                for row in value if value and isinstance(value[0], list) else [value]:
+                    lines.append(f"{section}.{key}," + ",".join(_fmt(v) for v in row))
             else:
                 lines.append(f"{section}.{key},{_fmt(value)}")
     if "branch" in rec:
@@ -153,6 +144,8 @@ def cmd_singular(args) -> dict:
 
 
 def cmd_solve_bvp(args) -> dict:
+    from .bvp import BvpProblem, solve_fixed_point
+
     cfg = _cfg(args)
     prob = BvpProblem(
         n=args.n, length=args.length, k_coef=args.k, nonlinearity=args.nonlinearity,

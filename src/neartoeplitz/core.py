@@ -8,10 +8,12 @@ triangle follows by symmetry and is obtained by swapping indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import MatrixConfig, require_dense_order, require_nonsingular
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
@@ -39,9 +41,9 @@ def _generators(n: int, r: float, j, i):
     return j * (1.0 + r) - r, (n - i) * (1.0 + r) + 1.0, (1.0 + r) * (n + 1 + r * (n - 1))
 
 
-def _parity(n: int) -> np.ndarray:
-    """sigma_i = (-1)^i, i = 1..n: A_{-2}(bt)^{-1} = -S A_{+2}(-bt)^{-1} S with S = diag(sigma)."""
-    return np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
+def _parity(i):
+    """(-1)^i at an integer or integer array i; S = diag((-1)^i): A_{-2}(bt)^-1 = -S A_{+2}(-bt)^-1 S."""
+    return 1.0 - 2.0 * (i & 1)
 
 
 def _entry(n: int, b: int, r: float, i: int, j: int) -> float:
@@ -103,12 +105,14 @@ def _inverse_grid(cfg: MatrixConfig) -> np.ndarray:
     diagonal block mirrors its lower part, so the grid is exactly symmetric.
     Orders above 2**14 raise DenseSizeError before anything is allocated.
     """
+    import numpy as np
+
     n = cfg.n
     require_dense_order(n)
     k = np.arange(1, n + 1, dtype=float)
     u, v, d = _generators(n, 2.0 * (cfg.b_tilde - cfg.b) / cfg.b, k, k)
     if cfg.b == -2:
-        sigma = _parity(n)
+        sigma = _parity(np.arange(1, n + 1))
         u *= sigma
         v *= -sigma
     grid = np.empty((n, n))
@@ -144,6 +148,8 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     is not: it loses digits on oscillating right-hand sides and near the
     corners.  ``solve`` reuses one internal buffer, so it is not reentrant.
     """
+    import numpy as np
+
     require_nonsingular(cfg)
     n = cfg.n
     s1, s2 = cfg.singular_points()
@@ -160,7 +166,7 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
         pre = scale * k
         post = k
     else:
-        sigma = _parity(n)
+        sigma = _parity(np.arange(1, n + 1))
         pre = -scale * sigma * k
         post = sigma * k
     buf = np.empty(n)

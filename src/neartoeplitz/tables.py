@@ -8,7 +8,6 @@ compares against the published cells at the documented tolerances.
 from __future__ import annotations
 
 from .analysis import exact_infinity_norm, upper_bound
-from .bvp import BvpProblem, solve_fixed_point
 from .config import MatrixConfig
 
 # (n, b_tilde, published norm, published upper bound)
@@ -93,6 +92,8 @@ def reproduce_norm_bounds(b: int) -> list[dict]:
 
 def reproduce_fisher(b: int) -> list[dict]:
     """Recompute one Fisher fixed-point table row by row."""
+    from .bvp import BvpProblem, solve_fixed_point
+
     setup = FISHER_B2_SETUP if b == 2 else FISHER_BM2_SETUP
     data = FISHER_B2_ROWS if b == 2 else FISHER_BM2_ROWS
     exp_tol = EXPECTED_RATE_TOL_B2 if b == 2 else EXPECTED_RATE_TOL_BM2

@@ -1,5 +1,7 @@
 """Trace, row sums, sign patterns, exact norms, and the norm bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from neartoeplitz import (
     bounds_report,
     build_matrix,
     exact_infinity_norm,
+    is_singular,
     lower_bound,
     reference_inverse,
     reference_norm,
@@ -64,6 +67,39 @@ class TestRowSums:
     def test_index_error(self):
         with pytest.raises(IndexError):
             rowsum(MatrixConfig(6, 2, 3.0), 7)
+
+    def test_single_row_is_bitwise_the_row_of_rowsums(self):
+        """One row evaluates the rowsums expression at its index: equal bit for bit, so the sign
+        of every zero too.  All rows up to n = 1000, sampled rows at n = 4001 and 10^5."""
+        rng = np.random.default_rng(12)
+        zeros = 0
+        for n in [*range(4, 80), 101, 1000, 4001, 10**5]:
+            rows = range(1, n + 1) if n <= 1000 else [1, 2, 3, n // 2, n // 2 + 1, n - 1, n,
+                                                      *rng.integers(1, n + 1, 16).tolist()]
+            for b in (2, -2):
+                s1, s2 = b / 2, b / 2 * (n - 3) / (n - 1)
+                near = [p + d for p in (s1, s2) for d in (1e-9, -1e-9)]
+                corners = [3.0, 0.95, 0.0, -0.0, -2.5, 2.0, -2.0, *near, *rng.uniform(-4, 4, 3)]
+                for bt in corners:
+                    cfg = MatrixConfig(n, b, bt)
+                    if is_singular(cfg):  # 0.95 is the corner (n-3)/(n-1) at n = 41
+                        continue
+                    one = np.array([rowsum(cfg, i) for i in rows])
+                    every = rowsums(cfg)[np.array(rows) - 1]
+                    assert np.array_equal(one.view(np.int64), every.view(np.int64)), cfg
+                    zeros += int(np.count_nonzero(one == 0.0))
+        assert zeros > 0
+
+    def test_single_row_allocates_no_array(self):
+        tracemalloc.start()
+        try:
+            for n in (10**6, 10**6 + 1):
+                for b, bt in ((2, 3.0), (2, -0.5), (-2, 0.95), (-2, -2.5)):
+                    rowsum(MatrixConfig(n, b, bt), n // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_centrosymmetry_of_rowsums(self):
         for cfg in (MatrixConfig(9, 2, -0.8), MatrixConfig(10, 2, 4.4)):

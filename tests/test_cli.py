@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import neartoeplitz
-from neartoeplitz import MatrixConfig, exact_infinity_norm, trace_inverse
+from neartoeplitz import MatrixConfig, build_matrix, exact_infinity_norm, trace_inverse
 from neartoeplitz.cli import main
 
 
@@ -226,6 +226,8 @@ def test_cli_is_thin_wrapper(capsys):
 
 #: Prints whether any scipy module was imported by the code run before it.
 SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+#: Prints whether any numpy module was imported by the code run before it.
+NUMPY_LOADED = "print(any(m.split('.')[0] == 'numpy' for m in sys.modules))"
 
 
 def run_python(code):
@@ -238,23 +240,63 @@ def run_python(code):
     return proc.stdout
 
 
+def run_main(argv, check, code=0):
+    """``python -m neartoeplitz *argv`` in a fresh interpreter; require exit ``code``, run ``check``."""
+    return run_python(
+        "import runpy, sys\n"
+        f"sys.argv = {['neartoeplitz', *argv]!r}\n"
+        "try:\n"
+        "    runpy.run_module('neartoeplitz', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        f"    assert exc.code == {code}, exc.code\n"
+        f"{check}\n"
+    )
+
+
+#: Scalar subcommands with their exit codes: both formats, both signs, a singular
+#: configuration (3) and a row index out of range (2).
+SCALAR_CALLS = [
+    pytest.param(["entry", "--n", "40", "--b", "2", "--btilde", "0.95", "--i", "3", "--j", "7"], 0,
+                 id="entry"),
+    pytest.param(["entry", "--n", "40", "--b", "-2", "--btilde", "-2.5", "--i", "40", "--j", "1",
+                  "--scaled", "--chat", "2.5", "--format", "csv"], 0, id="entry-csv"),
+    pytest.param(["trace", "--n", "40", "--b", "-2", "--btilde", "3"], 0, id="trace"),
+    pytest.param(["singular", "--n", "40", "--b", "2", "--btilde", "1"], 0, id="singular"),
+    pytest.param(["rowsum", "--n", "40", "--b", "-2", "--btilde", "0.95", "--i", "17"], 0,
+                 id="rowsum-i"),
+    pytest.param(["trace", "--n", "5", "--b", "2", "--btilde", "0.5"], 3, id="singular-config"),
+    pytest.param(["rowsum", "--n", "40", "--b", "2", "--btilde", "3", "--i", "41"], 2,
+                 id="row-out-of-range"),
+]
+
+
 class TestImportBoundary:
-    """scipy is a test-only dependency: the package and its CLI never import it."""
+    """scipy is a test-only dependency: the package and its CLI never import it.  numpy is
+    imported only by code that builds an array, so the scalar subcommands run without it."""
 
     def test_import_does_not_load_scipy(self):
         assert run_python(f"import sys, neartoeplitz; {SCIPY_LOADED}").split() == ["False"]
 
+    def test_import_does_not_load_numpy(self):
+        assert run_python(f"import sys, neartoeplitz; {NUMPY_LOADED}").split() == ["False"]
+
+    @pytest.mark.parametrize("argv, code", SCALAR_CALLS)
+    def test_scalar_subcommand_does_not_load_numpy(self, argv, code):
+        out = run_main(argv, NUMPY_LOADED, code)
+        assert out.split()[-1] == "False"
+        if code == 0:
+            assert f'"command": "{argv[0]}"' in out or f"command,{argv[0]}" in out
+
+    def test_invert_loads_numpy_and_works(self):
+        out = run_main(["invert", "--n", "6", "--b", "-2", "--btilde", "0.95"], NUMPY_LOADED)
+        assert out.split()[-1] == "True"
+        entries = json.loads(out[: out.rindex("}") + 1])["outputs"]["entries"]
+        assert np.allclose(entries, np.linalg.inv(build_matrix(MatrixConfig(6, -2, 0.95)).data),
+                           rtol=1e-9, atol=1e-12)
+
     def test_solve_bvp_does_not_load_scipy(self):
-        argv = ["neartoeplitz", "solve-bvp", "--n", "50", "--b", "-2", "--btilde", "-2",
+        argv = ["solve-bvp", "--n", "50", "--b", "-2", "--btilde", "-2",
                 "--length", "0.05", "--k", "81", "--nonlinearity", "fisher"]
-        out = run_python(
-            "import runpy, sys\n"
-            f"sys.argv = {argv!r}\n"
-            "try:\n"
-            "    runpy.run_module('neartoeplitz', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            f"{SCIPY_LOADED}\n"
-        )
+        out = run_main(argv, SCIPY_LOADED)
         assert json.loads(out[: out.rindex("}") + 1])["outputs"]["converged"] is True
         assert out.split()[-1] == "False"

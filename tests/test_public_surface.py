@@ -1,7 +1,11 @@
-"""The package's public names: pinned, imported, and enough for the CLI, demos and benchmark."""
+"""The package's public names: pinned, imported or loaded lazily, and enough for the CLI, demos
+and benchmark."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import neartoeplitz
 
@@ -32,11 +36,34 @@ def test_public_names_are_pinned():
 
 
 def test_all_equals_the_names_init_imports():
+    """__all__ is the eager imports of __init__ plus its lazy table, which are disjoint."""
     init = Path(neartoeplitz.__file__)
     imported = set()
-    for module in ("analysis", "bvp", "config", "core", "errors", "oracle"):
+    for module in ("analysis", "config", "core", "errors"):
         imported |= _imported_from(init, module, 1)
-    assert imported == set(neartoeplitz.__all__)
+    lazy = set(neartoeplitz._LAZY)
+    assert not imported & lazy
+    assert imported | lazy == set(neartoeplitz.__all__)
+    assert set(neartoeplitz._LAZY.values()) == {"bvp", "oracle"}
+
+
+def test_lazy_names_are_the_submodule_objects():
+    for name, module in neartoeplitz._LAZY.items():
+        submodule = importlib.import_module(f"neartoeplitz.{module}")
+        assert getattr(neartoeplitz, name) is getattr(submodule, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        neartoeplitz.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from neartoeplitz import *", namespace)
+    del namespace["__builtins__"]
+    assert len(namespace) == 34 and sorted(namespace) == PUBLIC
+    assert all(namespace[name] is getattr(neartoeplitz, name) for name in PUBLIC)
 
 
 def test_demos_and_benchmark_import_only_public_names():
