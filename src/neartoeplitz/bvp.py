@@ -155,13 +155,12 @@ def solve_fixed_point(
     prev_step = None
     rate = 0.0
     growth_streak = 0
-    converged = False
     u_next = np.empty(prob.n)
     diff = np.empty(prob.n)
 
-    def partial() -> BvpResult:
+    def result(converged: bool = False) -> BvpResult:
         return BvpResult(solution=u, iterations=len(steps), observed_rate=rate,
-                         expected_rate=exp_rate, converged=False, steps=steps)
+                         expected_rate=exp_rate, converged=converged, steps=steps)
 
     # An overflowed f(u) turns every entry of the next iterate into inf or
     # nan; the non-finite step reports it, so the prefix sums may stay quiet.
@@ -172,26 +171,18 @@ def solve_fixed_point(
             np.subtract(u_next, u, out=diff)
             step = float(np.abs(diff, out=diff).max())
             if not math.isfinite(step):
-                raise DivergenceError("iterate overflowed", partial=partial())
+                raise DivergenceError("iterate overflowed", partial=result())
             steps.append(step)
             if prev_step is not None and prev_step > 0.0:
                 rate = max(rate, step / prev_step)
                 growth_streak = growth_streak + 1 if step > prev_step else 0
             u, u_next = u_next, u
             if step <= tol:
-                converged = True
-                break
+                return result(True)
             if growth_streak >= _DIVERGENCE_STREAK:
                 raise DivergenceError(
                     f"step size grew for {_DIVERGENCE_STREAK} consecutive iterations",
-                    partial=partial(),
+                    partial=result(),
                 )
             prev_step = step
-    return BvpResult(
-        solution=u,
-        iterations=len(steps),
-        observed_rate=rate,
-        expected_rate=exp_rate,
-        converged=converged,
-        steps=steps,
-    )
+    return result()

@@ -96,34 +96,48 @@ def near_toeplitz_inverse_entry(
     return value
 
 
-def _inverse_grid(cfg: MatrixConfig) -> np.ndarray:
-    """All n x n entries s_ij u_min(i,j) v_max(i,j) / D, built from the generators.
+def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = False):
+    """Yield s_ij u_min(i,j) v_max(i,j) / D in bands of _BAND rows, into ``out`` or one buffer.
 
-    u_k, v_k and D come from ``_generators``; for b = -2 the parity sign
-    (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v.  Bands of _BAND rows
-    go into the one n x n array and are divided by D while in cache.  Each
-    diagonal block mirrors its lower part, so the grid is exactly symmetric.
-    Orders above 2**14 raise DenseSizeError before anything is allocated.
+    For b = -2 the parity (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v;
+    ``absolute`` uses |u|, |v| and |D|, exact as IEEE rounding is sign-symmetric.
+    Bands are divided by D in cache, with no -0.0, and each diagonal block
+    mirrors its lower part, so the grid is exactly symmetric.
     """
     import numpy as np
 
     n = cfg.n
-    require_dense_order(n)
     k = np.arange(1, n + 1, dtype=float)
     u, v, d = _generators(n, 2.0 * (cfg.b_tilde - cfg.b) / cfg.b, k, k)
-    if cfg.b == -2:
+    if absolute:
+        u, v, d = np.abs(u), np.abs(v), abs(d)
+    elif cfg.b == -2:
         sigma = _parity(np.arange(1, n + 1))
         u *= sigma
         v *= -sigma
-    grid = np.empty((n, n))
+    buf = np.empty((_BAND, n)) if out is None else None
     upper = ~np.tri(_BAND, dtype=bool)
     for s in range(0, n, _BAND):
         e = min(s + _BAND, n)
-        np.multiply.outer(v[s:e], u[:e], out=grid[s:e, :e])
-        np.multiply.outer(u[s:e], v[e:], out=grid[s:e, e:])
-        block = grid[s:e, s:e]
+        band = out[s:e] if buf is None else buf[: e - s]
+        np.einsum("i,j->ij", v[s:e], u[:e], out=band[:, :e])
+        np.einsum("i,j->ij", u[s:e], v[e:], out=band[:, e:])
+        block = band[:, s:e]
         np.copyto(block, block.T, where=upper[: e - s, : e - s])
-        grid[s:e] /= d
+        band /= d
+        if not absolute:
+            band += 0.0  # b_tilde = 0 makes some u_k v_k products signed zeros
+        yield band
+
+
+def _inverse_grid(cfg: MatrixConfig) -> np.ndarray:
+    """All n x n entries drained from ``_bands``; n > 2**14 raises DenseSizeError first."""
+    import numpy as np
+
+    require_dense_order(cfg.n)
+    grid = np.empty((cfg.n, cfg.n))
+    for _ in _bands(cfg, grid):
+        pass
     return grid
 
 
@@ -195,15 +209,12 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
 
 
 def assemble_inverse(cfg: MatrixConfig, scaled: bool = False) -> InverseMatrix:
-    """Materialize the full inverse from the closed-form entries.
+    """Materialize the full inverse from the closed-form entries (``_inverse_grid``).
 
-    The grid comes from the two generators (``_inverse_grid``) and is exactly
-    symmetric; centrosymmetry holds to rounding.  Orders above 2**14 raise
-    DenseSizeError.
+    Exactly symmetric with no -0.0, centrosymmetric to rounding; n > 2**14 raises DenseSizeError.
     """
     require_nonsingular(cfg)
     entries = _inverse_grid(cfg)
-    entries += 0.0  # no -0.0 entries: b_tilde = 0 makes some u_k v_k products signed zeros
     if scaled:
         entries /= -cfg.c_hat
     return InverseMatrix(n=cfg.n, entries=entries, source=CLOSED_FORM)

@@ -195,6 +195,15 @@ def index_grid(cfg):
     return vals
 
 
+def grid_norm(cfg):
+    """Max absolute row sum reduced over the whole ``index_grid``.
+
+    This is how ``analysis.exact_infinity_norm`` computed the norm before it
+    summed one band of rows at a time; kept as its bitwise reference.
+    """
+    return float(np.abs(index_grid(cfg)).sum(axis=1).max())
+
+
 def tril_mirror_assembly(cfg, scaled=False):
     """``index_grid`` mirrored as tril(vals) + tril(vals, -1).T, the former assembly."""
     vals = index_grid(cfg)

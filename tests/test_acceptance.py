@@ -16,6 +16,7 @@ b_tilde*, the computed value and the published value.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,7 +61,10 @@ from helpers import (
 #: criterion 4 shows S is a valid bound and criterion 7 that it is exact at odd
 #: n, so 24.5 at n = 13 cannot be S.  The paper's abstract (PAPER.md) does not
 #: say which formula the tables used, and its "minimal disparity for
-#: |b_tilde| >= 1" fits S at (13, 2) and (16, 2), not these cells.
+#: |b_tilde| >= 1" fits S at (13, 2) and (16, 2), not these cells.  Still,
+#: (n+1)^2/8 bounds S, and so the norm, without a sweep: for b_tilde <= 0 and
+#: n >= 4, S - (n+1)^2/8 = (4 - n(2 - b_tilde)) / (2(1 - b_tilde)) < 0, since
+#: the numerator is at most 4 - 2n and the denominator at least 2.
 LEADING_TERM_BOUND_CELLS = ((13, 2), (16, 2), (10, -2), (22, -2), (28, -2))
 
 
@@ -134,6 +138,20 @@ def test_criterion_02_published_norm_bound_tables():
         "published cells not reproducible within the printed rounding window:\n  "
         + "\n  ".join(failures)
     )
+
+
+def test_leading_term_cells_bound_s_from_above():
+    """At each fitted b_tilde* of a leading-term cell, S - (n+1)^2/8 < 0 in exact arithmetic."""
+    checked = set()
+    for b, table in ((2, NORM_BOUND_B2), (-2, NORM_BOUND_BM2)):
+        for n, bt, pub_norm, _ in table:
+            if (n, b) not in LEADING_TERM_BOUND_CELLS:
+                continue
+            x = Fraction(fit_printed_corner(n, b, bt, pub_norm)) * (b // 2)  # mirrored for b = -2
+            assert x <= 0, (n, b, bt)
+            assert (4 - n * (2 - x)) / (2 * (1 - x)) < 0, (n, b, bt)
+            checked.add((n, b))
+    assert checked == set(LEADING_TERM_BOUND_CELLS)
 
 
 def test_criterion_03_singularity_detection():

@@ -27,8 +27,9 @@ from neartoeplitz import (
     upper_bound,
 )
 from neartoeplitz.analysis import rowsum_bounds
+from neartoeplitz.core import _bands
 
-from helpers import btilde_samples
+from helpers import bitwise_equal, btilde_samples, grid_norm, index_grid, regime_corners
 
 
 class TestTrace:
@@ -202,6 +203,34 @@ class TestExactNorm:
             a = exact_infinity_norm(MatrixConfig(n, -2, bt))
             b = exact_infinity_norm(MatrixConfig(n, 2, -bt))
             assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestBandedNorm:
+    """The norm summed band by band against the full-grid reduction, bit for bit."""
+
+    @pytest.mark.parametrize("n", [*range(4, 81), 127, 128, 129, 191, 192, 193, 257, 1000])
+    def test_bitwise_equal_to_grid_norm(self, n):
+        for b in (2, -2):
+            for bt in regime_corners(n, b):
+                cfg = MatrixConfig(n, b, bt)
+                assert exact_infinity_norm(cfg) == grid_norm(cfg), (b, bt)
+                if n <= 257:
+                    # |u| |v| / |D| rounds as u v / D does, up to sign: every entry, not only sums.
+                    bands = np.vstack([band.copy() for band in _bands(cfg, absolute=True)])
+                    assert bitwise_equal(bands, np.abs(index_grid(cfg))), (b, bt)
+
+    def test_memory_is_one_band(self):
+        # The n x n grid alone is 128 MiB at n = 4096; one band of 64 rows is 2 MiB.
+        tracemalloc.start()
+        try:
+            for b, bt in ((2, -0.4), (-2, 3.0)):
+                cfg = MatrixConfig(4096, b, bt)
+                exact_infinity_norm(cfg)
+                bounds_report(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestLowerBound:
