@@ -8,8 +8,7 @@ rate is certified by those bounds.
 Result types and MatrixConfig are public because public functions take or return them.
 The errors are public because callers catch them and the CLI maps them to exit codes.
 The oracle is public as the independent reference for the tests and the benchmark checks.
-Other functions are public because the CLI, a demo or the benchmark calls them, except
-lipschitz_constant and default_initial_iterate, which state what solve_fixed_point assumes.
+Other functions are public because the CLI, a demo or the benchmark calls them.
 
 numpy is imported only by code that builds an array: the bvp and oracle modules, array code
 throughout, load on first use of one of their names, so scalar results never import numpy.
@@ -49,8 +48,7 @@ from .errors import (
 )
 
 _LAZY = {name: module for module, names in (
-    ("bvp", ("BvpProblem", "BvpResult", "default_initial_iterate", "expected_rate",
-             "lipschitz_constant", "solve_fixed_point")),
+    ("bvp", ("BvpProblem", "BvpResult", "expected_rate", "solve_fixed_point")),
     ("oracle", ("DenseMatrix", "build_matrix", "reference_inverse", "reference_norm",
                 "reference_rowsums", "reference_trace")),
 ) for name in names}
@@ -79,11 +77,9 @@ __all__ = [
     "assemble_inverse",
     "bounds_report",
     "build_matrix",
-    "default_initial_iterate",
     "exact_infinity_norm",
     "expected_rate",
     "is_singular",
-    "lipschitz_constant",
     "lower_bound",
     "near_toeplitz_inverse_entry",
     "reference_inverse",

@@ -5,7 +5,7 @@ nonlinear system  A u = h^2 f(u) + boundary corrections, where A is the scaled
 corner-perturbed tridiagonal operator.  The solver runs the substitution
 iteration u <- A^{-1} (h^2 f(u) + bc) and reports the observed contraction
 rate next to the rate predicted from the infinity-norm upper bound:
-h^2 * ||A^{-1}|| * L_c, with L_c a Lipschitz constant of f.
+h^2 * ||A^{-1}|| * L_c, with L_c the Lipschitz constant of f on [0, 1].
 """
 
 from __future__ import annotations
@@ -73,37 +73,19 @@ class BvpResult:
     steps: list[float] = field(default_factory=list)
 
 
-def lipschitz_constant(
-    nonlinearity: str, k_coef: float, bounds: tuple[float, float] | None = None
-) -> float:
-    """Lipschitz constant of f over the given iterate range.
-
-    fisher: |f'| = k*|1-2u|, so k*max(|1-2a|, |1-2b|) on [a, b] (equal to k on
-    the default [0, 1]).  bratu: f' = k*e^u, so k*e^b; a finite range is
-    required.
-    """
-    if nonlinearity == FISHER:
-        a, b = bounds if bounds is not None else (0.0, 1.0)
-        return abs(k_coef) * max(abs(1.0 - 2.0 * a), abs(1.0 - 2.0 * b))
-    if nonlinearity == BRATU:
-        if bounds is None:
-            raise ValueError("a finite iterate range is required for the exponential nonlinearity")
-        return abs(k_coef) * math.exp(bounds[1])
-    raise ValueError(f"nonlinearity must be 'fisher' or 'bratu', got {nonlinearity!r}")
-
-
 def expected_rate(prob: BvpProblem) -> float:
     """Contraction rate predicted by the norm bound: h^2 * U * L_c / |c_hat|.
 
     U is the upper bound for the normalized operator; dividing by |c_hat|
-    converts it to the scaled system actually iterated.  L_c is taken over [0, 1].
+    converts it to the scaled system actually iterated.  L_c is the Lipschitz
+    constant of f on [0, 1]: |k| |1 - 2u| <= |k| for fisher, |k| e^u <= |k| e for bratu.
     """
     u = upper_bound(prob.cfg).value
-    lc = lipschitz_constant(prob.nonlinearity, prob.k_coef, (0.0, 1.0))
+    lc = abs(prob.k_coef) * (1.0 if prob.nonlinearity == FISHER else math.e)
     return prob.h**2 * u * lc / abs(prob.cfg.c_hat)
 
 
-def default_initial_iterate(prob: BvpProblem) -> np.ndarray:
+def _initial_iterate(prob: BvpProblem) -> np.ndarray:
     """Half-amplitude sine bump over the interior grid.
 
     For b < 0 the bump is modulated by alternating signs: that is the slowest
@@ -135,9 +117,9 @@ def solve_fixed_point(
     with the partial result attached.
     """
     require_nonsingular(prob.cfg)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    u = default_initial_iterate(prob) if u0 is None else np.array(u0, dtype=float)
+    u = _initial_iterate(prob) if u0 is None else np.array(u0, dtype=float)
     if u.shape != (prob.n,):
         raise ValueError(f"initial iterate must have length {prob.n}, got shape {u.shape}")
 
@@ -152,13 +134,13 @@ def solve_fixed_point(
 
     exp_rate = expected_rate(prob)
     steps: list[float] = []
-    prev_step = None
-    rate = 0.0
     growth_streak = 0
     u_next = np.empty(prob.n)
     diff = np.empty(prob.n)
 
     def result(converged: bool = False) -> BvpResult:
+        # Every step but the last is above tol > 0, so each ratio is defined.
+        rate = max((b / a for a, b in zip(steps, steps[1:])), default=0.0)
         return BvpResult(solution=u, iterations=len(steps), observed_rate=rate,
                          expected_rate=exp_rate, converged=converged, steps=steps)
 
@@ -172,10 +154,9 @@ def solve_fixed_point(
             step = float(np.abs(diff, out=diff).max())
             if not math.isfinite(step):
                 raise DivergenceError("iterate overflowed", partial=result())
+            if steps:
+                growth_streak = growth_streak + 1 if step > steps[-1] else 0
             steps.append(step)
-            if prev_step is not None and prev_step > 0.0:
-                rate = max(rate, step / prev_step)
-                growth_streak = growth_streak + 1 if step > prev_step else 0
             u, u_next = u_next, u
             if step <= tol:
                 return result(True)
@@ -184,5 +165,4 @@ def solve_fixed_point(
                     f"step size grew for {_DIVERGENCE_STREAK} consecutive iterations",
                     partial=result(),
                 )
-            prev_step = step
     return result()

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Every subcommand is a thin wrapper over a single library call and emits a
-deterministic report: JSON by default, CSV with ``--format csv``; floats are
-printed with 10 significant digits.  Exit codes: 0 success, 2 usage or
-invalid argument, 3 singular configuration, 4 diverging iteration.
+deterministic report: JSON by default, CSV with ``--format csv`` (``reproduce``:
+CSV only); floats are printed with 10 significant digits.  Exit codes: 0 success,
+2 usage or invalid argument, 3 singular configuration, 4 diverging iteration.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import tables
 from .analysis import (
     bounds_report, exact_infinity_norm, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
 )
-from .config import MatrixConfig, singularity_report
+from .config import SINGULARITY_TOL, MatrixConfig, singularity_report
 from .core import assemble_inverse, near_toeplitz_inverse_entry, toeplitz_inverse_entry
 from .errors import DivergenceError, SingularMatrixError
 
@@ -75,7 +75,7 @@ def _emit(rec: dict, args) -> None:
 
 
 def _write(text: str, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
@@ -185,48 +185,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    io = argparse.ArgumentParser(add_help=False)
-    io.add_argument("--format", choices=("json", "csv"), default="json")
-    io.add_argument("--out", help="also write the report to this path")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="also write the report to this path")
 
     mat = argparse.ArgumentParser(add_help=False)
     mat.add_argument("--n", type=int, required=True, help="matrix order (>= 4)")
     mat.add_argument("--b", type=int, choices=(2, -2), required=True)
     mat.add_argument("--btilde", type=float, required=True, help="corner diagonal value")
     mat.add_argument("--chat", type=float, default=-1.0, help="scaling c_hat (default -1)")
+    mat_io = [mat, fmt, out]
 
-    p = sub.add_parser("entry", parents=[mat, io], help="one inverse entry (1-based indices)")
+    p = sub.add_parser("entry", parents=mat_io, help="one inverse entry (1-based indices)")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--toeplitz", action="store_true", help="entry of the pure Toeplitz inverse")
     p.add_argument("--scaled", action="store_true", help="entry of the scaled-system inverse")
     p.set_defaults(func=cmd_entry)
 
-    p = sub.add_parser("invert", parents=[mat, io], help="assemble the full inverse")
+    p = sub.add_parser("invert", parents=mat_io, help="assemble the full inverse")
     p.add_argument("--scaled", action="store_true")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("trace", parents=[mat, io], help="exact trace of the inverse")
+    p = sub.add_parser("trace", parents=mat_io, help="exact trace of the inverse")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("rowsum", parents=[mat, io], help="row sum(s) of the inverse")
+    p = sub.add_parser("rowsum", parents=mat_io, help="row sum(s) of the inverse")
     p.add_argument("--i", type=int, help="1-based row; omit for all rows plus bounds")
     p.set_defaults(func=cmd_rowsum)
 
-    p = sub.add_parser("norm", parents=[mat, io], help="exact infinity norm of the inverse")
+    p = sub.add_parser("norm", parents=mat_io, help="exact infinity norm of the inverse")
     p.set_defaults(func=cmd_norm)
 
-    p = sub.add_parser("bounds", parents=[mat, io], help="lower/upper norm bounds and branch")
+    p = sub.add_parser("bounds", parents=mat_io, help="lower/upper norm bounds and branch")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("signs", parents=[mat, io], help="predicted sign pattern (b=2, btilde<=0)")
+    p = sub.add_parser("signs", parents=mat_io, help="predicted sign pattern (b=2, btilde<=0)")
     p.set_defaults(func=cmd_signs)
 
-    p = sub.add_parser("singular", parents=[mat, io], help="singularity test")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p = sub.add_parser("singular", parents=mat_io, help="singularity test")
+    p.add_argument("--tol", type=float, default=SINGULARITY_TOL)
     p.set_defaults(func=cmd_singular)
 
-    p = sub.add_parser("solve-bvp", parents=[mat, io], help="fixed-point run for u'' = f(u)")
+    p = sub.add_parser("solve-bvp", parents=mat_io, help="fixed-point run for u'' = f(u)")
     p.add_argument("--length", type=float, required=True, help="domain length")
     p.add_argument("--k", type=float, required=True, help="nonlinearity strength")
     p.add_argument("--nonlinearity", choices=("fisher", "bratu"), required=True)
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc-right", type=float, default=0.0)
     p.set_defaults(func=cmd_solve_bvp)
 
-    p = sub.add_parser("reproduce", parents=[io], help="recompute a published table (CSV)")
+    p = sub.add_parser("reproduce", parents=[out], help="recompute a published table (CSV)")
     p.add_argument("table_id", choices=tables.TABLE_IDS)
     p.set_defaults(func=cmd_reproduce)
 

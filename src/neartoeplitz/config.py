@@ -101,12 +101,12 @@ def singularity_report(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> dict:
     }
 
 
-def require_nonsingular(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> None:
-    """Raise :class:`SingularMatrixError` for configurations within tolerance."""
-    if is_singular(cfg, tol):
+def require_nonsingular(cfg: MatrixConfig) -> None:
+    """Raise :class:`SingularMatrixError` for configurations within ``SINGULARITY_TOL``."""
+    if is_singular(cfg):
         s1, s2 = cfg.singular_points()
         raise SingularMatrixError(
-            f"corner value {cfg.b_tilde} is within {tol} of a singular point "
+            f"corner value {cfg.b_tilde} is within {SINGULARITY_TOL} of a singular point "
             f"({s1} or {s2:.17g}) at n={cfg.n}, b={cfg.b}"
         )
 

@@ -130,17 +130,6 @@ def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = Fa
         yield band
 
 
-def _inverse_grid(cfg: MatrixConfig) -> np.ndarray:
-    """All n x n entries drained from ``_bands``; n > 2**14 raises DenseSizeError first."""
-    import numpy as np
-
-    require_dense_order(cfg.n)
-    grid = np.empty((cfg.n, cfg.n))
-    for _ in _bands(cfg, grid):
-        pass
-    return grid
-
-
 def _inverse_solver(cfg: MatrixConfig, scale: float):
     """Factor the operator once; return ``solve(x, out=None)`` giving scale * A^{-1} x in O(n).
 
@@ -209,12 +198,17 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
 
 
 def assemble_inverse(cfg: MatrixConfig, scaled: bool = False) -> InverseMatrix:
-    """Materialize the full inverse from the closed-form entries (``_inverse_grid``).
+    """Materialize the full inverse: all n x n closed-form entries drained from ``_bands``.
 
     Exactly symmetric with no -0.0, centrosymmetric to rounding; n > 2**14 raises DenseSizeError.
     """
+    import numpy as np
+
     require_nonsingular(cfg)
-    entries = _inverse_grid(cfg)
+    require_dense_order(cfg.n)
+    entries = np.empty((cfg.n, cfg.n))
+    for _ in _bands(cfg, entries):
+        pass
     if scaled:
         entries /= -cfg.c_hat
     return InverseMatrix(n=cfg.n, entries=entries, source=CLOSED_FORM)

@@ -174,7 +174,7 @@ def derived_params(cfg: MatrixConfig) -> DerivedParams:
 def index_grid(cfg):
     """The closed-form grid evaluated on broadcast min/max index arrays.
 
-    This is how ``core._inverse_grid`` computed the grid before it was
+    This is how ``core.assemble_inverse`` computed the grid before it was
     built from the two generators; kept as its bitwise reference.
     """
     n = cfg.n

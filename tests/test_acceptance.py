@@ -37,7 +37,7 @@ from neartoeplitz import (
     trace_inverse,
     upper_bound,
 )
-from neartoeplitz.bvp import BvpProblem, default_initial_iterate, solve_fixed_point
+from neartoeplitz.bvp import BvpProblem, _initial_iterate, solve_fixed_point
 from neartoeplitz.tables import (
     CELL_TOL,
     NORM_BOUND_B2,
@@ -342,7 +342,7 @@ def test_criterion_10_property_suite():
     for n, b, bt in [(8, 2, 2.0), (32, -2, -2.0), (64, 2, 3.5)]:
         cfg = MatrixConfig(n, b, bt)
         prob = BvpProblem(n=n, length=1.0, k_coef=2.0, nonlinearity="fisher", cfg=cfg)
-        u0 = default_initial_iterate(prob)
+        u0 = _initial_iterate(prob)
         stepped = solve_fixed_point(prob, u0=u0, tol=np.inf).solution
         explicit = assemble_inverse(cfg, scaled=True).entries @ (prob.h**2 * prob.f(u0))
         if np.max(np.abs(stepped - explicit)) > 1e-10:

@@ -1,4 +1,4 @@
-"""Fixed-point solver: Lipschitz constants, predicted rates, iteration behavior."""
+"""Fixed-point solver: predicted rates, initial iterate, iteration behavior."""
 
 import math
 
@@ -11,12 +11,11 @@ from neartoeplitz import (
     DivergenceError,
     MatrixConfig,
     assemble_inverse,
-    default_initial_iterate,
     expected_rate,
-    lipschitz_constant,
     solve_fixed_point,
     upper_bound,
 )
+from neartoeplitz.bvp import _initial_iterate
 from neartoeplitz.tables import REPRODUCTION_TOL
 
 from helpers import banded_lu_solve
@@ -27,27 +26,14 @@ def fisher_problem(n, b, bt, length, k):
                       cfg=MatrixConfig(n, b, bt))
 
 
-class TestLipschitz:
-    def test_fisher_unit_interval(self):
-        assert lipschitz_constant("fisher", 1.0, (0.0, 1.0)) == 1.0
-        assert lipschitz_constant("fisher", 16.0) == 16.0
-
-    def test_fisher_general_interval(self):
-        assert lipschitz_constant("fisher", 2.0, (-0.5, 0.5)) == pytest.approx(4.0)
-
-    def test_bratu(self):
-        assert lipschitz_constant("bratu", 2.0, (0.0, 1.0)) == pytest.approx(2.0 * math.e)
-
-    def test_bratu_requires_range(self):
-        with pytest.raises(ValueError):
-            lipschitz_constant("bratu", 2.0)
-
-    def test_unknown_nonlinearity(self):
-        with pytest.raises(ValueError):
-            lipschitz_constant("cubic", 1.0, (0, 1))
-
-
 class TestExpectedRate:
+    @pytest.mark.parametrize("kind, lc_factor", [("fisher", 1.0), ("bratu", math.e)])
+    def test_unit_range_lipschitz_constant(self, kind, lc_factor):
+        # L_c on [0, 1]: |k| |1 - 2u| <= |k| for fisher, |k| e^u <= |k| e for bratu.
+        cfg = MatrixConfig(30, 2, 2.5)
+        prob = BvpProblem(n=30, length=0.7, k_coef=-2.0, nonlinearity=kind, cfg=cfg)
+        assert expected_rate(prob) == prob.h**2 * upper_bound(cfg).value * (2.0 * lc_factor)
+
     def test_table_b2_setup(self):
         rate = expected_rate(fisher_problem(50, 2, 2.0, 0.5, 1.0))
         assert rate == pytest.approx(0.0325125, rel=1e-12)
@@ -77,13 +63,13 @@ class TestExpectedRate:
 
 class TestInitialIterate:
     def test_amplitude_and_length(self):
-        u = default_initial_iterate(fisher_problem(50, 2, 2.0, 0.5, 1.0))
+        u = _initial_iterate(fisher_problem(50, 2, 2.0, 0.5, 1.0))
         assert u.shape == (50,)
         assert np.abs(u).max() == pytest.approx(0.5)
         assert (u > 0).all()
 
     def test_parity_modulation_for_negative_b(self):
-        u = default_initial_iterate(fisher_problem(50, -2, -2.0, 0.05, 1.0))
+        u = _initial_iterate(fisher_problem(50, -2, -2.0, 0.05, 1.0))
         assert np.abs(u).max() == pytest.approx(0.5)
         inner = u[1:-1]
         assert (np.sign(inner[1:]) != np.sign(inner[:-1])).all()
@@ -131,7 +117,7 @@ class TestSolveFixedPoint:
             cfg = MatrixConfig(n, b, bt)
             prob = BvpProblem(n=n, length=1.0, k_coef=2.0, nonlinearity="fisher",
                               cfg=cfg, bc_left=bc, bc_right=-bc)
-            u0 = default_initial_iterate(prob)
+            u0 = _initial_iterate(prob)
             one_step = solve_fixed_point(prob, u0=u0, tol=np.inf)
             inv = assemble_inverse(cfg, scaled=True).entries
             rhs_bc = np.zeros(n)
@@ -185,6 +171,8 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError):
             solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0), tol=-1.0)
         with pytest.raises(ValueError):
+            solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0), tol=math.nan)
+        with pytest.raises(ValueError):
             solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0), u0=np.zeros(9))
 
     def test_step_history_audits_observed_rate(self):
@@ -203,6 +191,7 @@ class TestSolveFixedPoint:
         partial = err.value.partial
         assert len(partial.steps) == partial.iterations
         assert all(b > a for a, b in zip(partial.steps[-6:], partial.steps[-5:]))
+        assert partial.observed_rate == max(b / a for a, b in zip(partial.steps, partial.steps[1:]))
 
     def test_default_result_has_no_steps(self):
         assert BvpResult(np.zeros(4), 0, 0.0, 0.0, False).steps == []
@@ -227,7 +216,7 @@ class TestSolveFixedPoint:
         res = solve_fixed_point(prob)
         rhs_bc = np.zeros(n)
         rhs_bc[0], rhs_bc[-1] = -c_hat * bcs[0], -c_hat * bcs[1]
-        u = default_initial_iterate(prob)
+        u = _initial_iterate(prob)
         # Two backward-stable solves differ by at most 2 * 64 eps * kappa of
         # the iterate scale; ||A^{-1}|| <= the published upper bound.
         kappa = (max(abs(b), abs(bt)) + 2.0) * upper_bound(cfg).value

@@ -211,9 +211,18 @@ class TestExitCodes:
             main(["trace", "--n", "4", "--b", "7", "--btilde", "2"])
         assert err.value.code == 2
 
-    def test_unknown_table_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+    def test_unknown_table_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as err:
             main(["reproduce", "table9"])
+        assert err.value.code == 2
+        # reproduce prints CSV only: --format is a usage error, --out is kept.
+        for fmt in ("json", "csv"):
+            with pytest.raises(SystemExit) as err:
+                main(["reproduce", "fig2_table", "--format", fmt])
+            assert err.value.code == 2
+        path = tmp_path / "fig2.csv"
+        _, out, _ = run_cli(capsys, "reproduce", "fig2_table", "--out", str(path))
+        assert path.read_text() == out and out.startswith("n,")
 
 
 def test_cli_is_thin_wrapper(capsys):

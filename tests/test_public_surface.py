@@ -3,6 +3,7 @@ and benchmark."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,10 @@ PUBLIC = [
     "BoundsReport", "BvpProblem", "BvpResult", "DenseMatrix", "DenseSizeError", "DivergenceError",
     "InverseMatrix", "MatrixConfig", "PivotBreakdownError", "SingularMatrixError",
     "UnsupportedCaseError", "UpperBound", "assemble_inverse", "bounds_report", "build_matrix",
-    "default_initial_iterate", "exact_infinity_norm", "expected_rate", "is_singular",
-    "lipschitz_constant", "lower_bound", "near_toeplitz_inverse_entry", "reference_inverse",
-    "reference_norm", "reference_rowsums", "reference_trace", "rowsum", "rowsums", "sign_pattern",
-    "singularity_report", "solve_fixed_point", "toeplitz_inverse_entry", "trace_inverse",
-    "upper_bound",
+    "exact_infinity_norm", "expected_rate", "is_singular", "lower_bound",
+    "near_toeplitz_inverse_entry", "reference_inverse", "reference_norm", "reference_rowsums",
+    "reference_trace", "rowsum", "rowsums", "sign_pattern", "singularity_report",
+    "solve_fixed_point", "toeplitz_inverse_entry", "trace_inverse", "upper_bound",
 ]
 
 
@@ -62,7 +62,7 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from neartoeplitz import *", namespace)
     del namespace["__builtins__"]
-    assert len(namespace) == 34 and sorted(namespace) == PUBLIC
+    assert len(namespace) == 32 and sorted(namespace) == PUBLIC
     assert all(namespace[name] is getattr(neartoeplitz, name) for name in PUBLIC)
 
 
@@ -73,3 +73,20 @@ def test_demos_and_benchmark_import_only_public_names():
     assert used <= set(neartoeplitz.__all__), sorted(used - set(neartoeplitz.__all__))
     bench = _imported_from(ROOT / "bench" / "workloads.py", "neartoeplitz", 0)
     assert len(bench) == 16 and bench <= set(neartoeplitz.__all__)
+
+
+def test_every_public_function_has_a_caller():
+    """Each public function is imported by the CLI, the tables, a demo or the benchmark.
+
+    Result types, errors and MatrixConfig are classes, public for the reasons the
+    package docstring gives, so only functions are checked.
+    """
+    package = Path(neartoeplitz.__file__).parent
+    used = set()
+    for path in (package / "cli.py", package / "tables.py"):
+        used |= set().union(*(_imported_from(path, m.stem, 1) for m in package.glob("*.py")))
+    for path in sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("bench/*.py")):
+        used |= _imported_from(path, "neartoeplitz", 0)
+    functions = {name for name in neartoeplitz.__all__
+                 if inspect.isfunction(getattr(neartoeplitz, name))}
+    assert functions <= used, sorted(functions - used)
