@@ -3,13 +3,16 @@
 Every subcommand is a thin wrapper over a single library call and emits a
 deterministic report: JSON by default, CSV with ``--format csv`` (``reproduce``:
 CSV only); floats are printed with 10 significant digits.  Exit codes: 0 success,
-2 usage or invalid argument, 3 singular configuration, 4 diverging iteration.
+2 usage or invalid argument (also an unwritable ``--out``, a non-finite result or a
+refused allocation), 3 singular configuration, 4 diverging iteration.  Every failure
+writes one JSON error object to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import tables
@@ -27,10 +30,14 @@ EXIT_DIVERGED = 4
 
 
 def _round10(obj):
-    """Recursively round floats to 10 significant digits for stable output."""
-    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python lists and values
+    """Normalise a result for output: numpy arrays and scalars as Python lists and values,
+    floats rounded to 10 significant digits.  A non-finite float has no JSON form, so it
+    raises ValueError."""
+    if hasattr(obj, "tolist"):
         obj = obj.tolist()
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj} cannot be reported")
         return float(f"{obj:.10g}")
     if isinstance(obj, (list, tuple)):
         return [_round10(v) for v in obj]
@@ -43,35 +50,28 @@ def _fmt(value) -> str:
     return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def _record(command: str, inputs: dict, outputs: dict, branch: str | None = None) -> dict:
-    rec = {"command": command, "inputs": inputs, "outputs": outputs}
+def _csv_rows(field: str, value):
+    """``field,value`` lines of a normalised value: a dict as ``field.key`` lines, a matrix
+    as one line per row, any other list as one line."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _csv_rows(f"{field}.{key}" if field else key, sub)
+    elif isinstance(value, list) and value and isinstance(value[0], list):
+        for row in value:
+            yield from _csv_rows(field, row)
+    else:
+        yield f"{field}," + ",".join(map(_fmt, value if isinstance(value, list) else [value]))
+
+
+def _report(args, inputs: dict, outputs: dict, branch: str | None = None) -> str:
+    """The subcommand's record, normalised and rendered in ``--format``."""
+    rec = {"command": args.command, "inputs": inputs, "outputs": outputs}
     if branch is not None:
         rec["branch"] = branch
-    return rec
-
-
-def _render_csv(rec: dict) -> str:
-    lines = ["field,value", f"command,{rec['command']}"]
-    for section in ("inputs", "outputs"):
-        for key, value in rec[section].items():
-            if hasattr(value, "tolist"):
-                value = value.tolist()
-            if isinstance(value, list):
-                for row in value if value and isinstance(value[0], list) else [value]:
-                    lines.append(f"{section}.{key}," + ",".join(_fmt(v) for v in row))
-            else:
-                lines.append(f"{section}.{key},{_fmt(value)}")
-    if "branch" in rec:
-        lines.append(f"branch,{rec['branch']}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit(rec: dict, args) -> None:
+    rec = _round10(rec)
     if args.format == "csv":
-        text = _render_csv(rec)
-    else:
-        text = json.dumps(_round10(rec), indent=2) + "\n"
-    _write(text, args)
+        return "\n".join(["field,value", *_csv_rows("", rec)]) + "\n"
+    return json.dumps(rec, indent=2) + "\n"
 
 
 def _write(text: str, args) -> None:
@@ -89,41 +89,41 @@ def _cfg_inputs(args) -> dict:
     return {"n": args.n, "b": args.b, "btilde": args.btilde, "chat": args.chat}
 
 
-def cmd_entry(args) -> dict:
+def cmd_entry(args) -> str:
     inputs = _cfg_inputs(args) | {"i": args.i, "j": args.j}
     if args.toeplitz:
         value = toeplitz_inverse_entry(args.n, args.b, args.i, args.j)
     else:
         value = near_toeplitz_inverse_entry(_cfg(args), args.i, args.j, scaled=args.scaled)
         inputs["scaled"] = args.scaled
-    return _record("entry", inputs, {"value": value})
+    return _report(args, inputs, {"value": value})
 
 
-def cmd_invert(args) -> dict:
+def cmd_invert(args) -> str:
     inv = assemble_inverse(_cfg(args), scaled=args.scaled)
     inputs = _cfg_inputs(args) | {"scaled": args.scaled}
-    return _record("invert", inputs, {"n": inv.n, "source": inv.source, "entries": inv.entries})
+    return _report(args, inputs, {"n": inv.n, "source": inv.source, "entries": inv.entries})
 
 
-def cmd_trace(args) -> dict:
-    return _record("trace", _cfg_inputs(args), {"trace": trace_inverse(_cfg(args))})
+def cmd_trace(args) -> str:
+    return _report(args, _cfg_inputs(args), {"trace": trace_inverse(_cfg(args))})
 
 
-def cmd_rowsum(args) -> dict:
+def cmd_rowsum(args) -> str:
     cfg = _cfg(args)
     if args.i is not None:
         outputs = {"i": args.i, "rowsum": rowsum(cfg, args.i)}
     else:
         lower, upper = rowsum_bounds(cfg) if cfg.b == 2 else (None, None)
         outputs = {"values": rowsums(cfg), "lower": lower, "upper": upper}
-    return _record("rowsum", _cfg_inputs(args) | {"i": args.i}, outputs)
+    return _report(args, _cfg_inputs(args) | {"i": args.i}, outputs)
 
 
-def cmd_norm(args) -> dict:
-    return _record("norm", _cfg_inputs(args), {"norm": exact_infinity_norm(_cfg(args))})
+def cmd_norm(args) -> str:
+    return _report(args, _cfg_inputs(args), {"norm": exact_infinity_norm(_cfg(args))})
 
 
-def cmd_bounds(args) -> dict:
+def cmd_bounds(args) -> str:
     rep = bounds_report(_cfg(args))
     outputs = {
         "lower": rep.lower,
@@ -131,19 +131,19 @@ def cmd_bounds(args) -> dict:
         "exact_norm": rep.exact_norm,
         "terms": rep.terms,
     }
-    return _record("bounds", _cfg_inputs(args), outputs, branch=rep.branch)
+    return _report(args, _cfg_inputs(args), outputs, branch=rep.branch)
 
 
-def cmd_signs(args) -> dict:
-    return _record("signs", _cfg_inputs(args), {"n": args.n, "pattern": sign_pattern(_cfg(args))})
+def cmd_signs(args) -> str:
+    return _report(args, _cfg_inputs(args), {"n": args.n, "pattern": sign_pattern(_cfg(args))})
 
 
-def cmd_singular(args) -> dict:
+def cmd_singular(args) -> str:
     rep = singularity_report(_cfg(args), tol=args.tol)
-    return _record("singular", _cfg_inputs(args) | {"tol": args.tol}, rep)
+    return _report(args, _cfg_inputs(args) | {"tol": args.tol}, rep)
 
 
-def cmd_solve_bvp(args) -> dict:
+def cmd_solve_bvp(args) -> str:
     from .bvp import BvpProblem, solve_fixed_point
 
     cfg = _cfg(args)
@@ -164,16 +164,14 @@ def cmd_solve_bvp(args) -> dict:
         "converged": res.converged,
         "solution": res.solution,
     }
-    return _record("solve-bvp", inputs, outputs)
+    return _report(args, inputs, outputs)
 
 
 def cmd_reproduce(args) -> str:
-    """Emit the requested published table as CSV with a per-row pass flag."""
-    rows = tables.reproduce(args.table_id)
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[key]) for key in header))
+    """The requested published table as CSV with a per-row pass flag."""
+    rows = _round10(tables.reproduce(args.table_id))
+    header = list(rows[0])
+    lines = [",".join(header)] + [",".join(_fmt(row[key]) for key in header) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -249,28 +247,25 @@ def _error_object(command: str, exc: Exception) -> str:
     payload = {"command": command, "error": {"type": type(exc).__name__, "message": str(exc)}}
     if getattr(exc, "partial", None) is not None:
         fields = ("iterations", "observed_rate", "expected_rate")
-        payload["partial"] = _round10({key: getattr(exc.partial, key) for key in fields})
+        values = {key: getattr(exc.partial, key) for key in fields}
+        # An overflowed rate has no JSON form; the partial state keeps the finite fields.
+        payload["partial"] = _round10({k: v for k, v in values.items() if math.isfinite(v)})
     return json.dumps(payload) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
+        _write(args.func(args), args)
     except SingularMatrixError as exc:
         sys.stderr.write(_error_object(args.command, exc))
         return EXIT_SINGULAR
     except DivergenceError as exc:
         sys.stderr.write(_error_object(args.command, exc))
         return EXIT_DIVERGED
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError, MemoryError) as exc:
         sys.stderr.write(_error_object(args.command, exc))
         return EXIT_USAGE
-    if isinstance(result, str):
-        _write(result, args)
-    else:
-        _emit(result, args)
     return EXIT_OK
 
 

@@ -72,7 +72,7 @@ def _delta_factored(cfg: MatrixConfig) -> float:
 
 def is_singular(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> bool:
     """True when b_tilde lies within ``tol`` of either singular corner value."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     s1, s2 = cfg.singular_points()
     return abs(cfg.b_tilde - s1) <= tol or abs(cfg.b_tilde - s2) <= tol

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import neartoeplitz
-from neartoeplitz import MatrixConfig, build_matrix, exact_infinity_norm, trace_inverse
+from neartoeplitz import (
+    MatrixConfig, build_matrix, exact_infinity_norm, trace_inverse, upper_bound,
+)
+from neartoeplitz import cli
 from neartoeplitz.cli import main
 
 
@@ -18,6 +21,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON, refusing the NaN and Infinity tokens that JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"not valid JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestReports:
@@ -163,6 +173,24 @@ class TestFormatsAndDeterminism:
                             "--out", str(path))
         assert path.read_text() == out
 
+    @pytest.mark.parametrize("b, btilde, branch", [
+        (2, "3", "btilde_gt_1"), (2, "0.95", "nm2_le_btilde_lt_1"),
+        (2, "0.875", "nm3_lt_btilde_lt_nm2"), (2, "0.5", "0_lt_btilde_lt_nm3"),
+        (2, "-1", "btilde_le_0"), (-2, "-3", "btilde_lt_m1"), (-2, "-0.95", "m1_lt_btilde_le_mnm2"),
+        (-2, "-0.875", "mnm2_lt_btilde_lt_mnm3"), (-2, "-0.5", "mnm3_lt_btilde_lt_0"),
+        (-2, "1", "btilde_ge_0"),
+    ])
+    def test_csv_dict_output_one_row_per_key(self, capsys, b, btilde, branch):
+        """``outputs.terms`` is a dict: one ``outputs.terms.<name>`` row per term, none if empty."""
+        code, out, _ = run_cli(capsys, "bounds", "--n", "13", "--b", str(b), "--btilde", btilde,
+                               "--format", "csv")
+        lines = out.splitlines()
+        assert code == 0 and f"branch,{branch}" in lines
+        assert all(line.count(",") == 1 for line in lines)
+        terms = upper_bound(MatrixConfig(13, b, float(btilde))).terms
+        assert [line for line in lines if line.startswith("outputs.terms")] == [
+            f"outputs.terms.{name},{value:.10g}" for name, value in terms.items()]
+
     def test_ten_significant_digits(self, capsys):
         _, out, _ = run_cli(capsys, "bounds", "--n", "10", "--b", "2", "--btilde", "5.93")
         assert "11.13919878" in out
@@ -205,6 +233,51 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"]["type"] == "DivergenceError"
         assert payload["partial"]["iterations"] > 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_positive_or_non_finite_tol_is_2(self, capsys, tol):
+        """A NaN tol is not positive; an infinite one is accepted but cannot be echoed."""
+        code, out, err = run_cli(capsys, "singular", "--n", "10", "--b", "2", "--btilde", "1",
+                                 "--tol", tol)
+        assert (code, out) == (2, "")
+        assert strict_json(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_2(self, capsys, fmt):
+        """D overflows at btilde = 1e160 and the norm is NaN, which no report may print."""
+        code, out, err = run_cli(capsys, "norm", "--n", "8", "--b", "2", "--btilde", "1e160",
+                                 "--format", fmt)
+        assert (code, out) == (2, "")
+        assert strict_json(err)["error"]["type"] == "ValueError"
+
+    def test_unwritable_out_is_2(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "x.json")
+        for argv in (["trace", "--n", "8", "--b", "2", "--btilde", "3"], ["reproduce", "table5"]):
+            code, out, err = run_cli(capsys, *argv, "--out", path)
+            assert (code, out) == (2, "")
+            assert strict_json(err) == {"command": argv[0], "error": {
+                "type": "FileNotFoundError",
+                "message": f"[Errno 2] No such file or directory: '{path}'"}}
+
+    def test_refused_allocation_is_2(self, capsys, monkeypatch):
+        def refuse(cfg):
+            raise MemoryError(f"Unable to allocate {8 * cfg.n} bytes")
+        monkeypatch.setattr(cli, "rowsums", refuse)
+        code, out, err = run_cli(capsys, "rowsum", "--n", "10000000000", "--b", "2", "--btilde", "3")
+        assert (code, out) == (2, "")
+        assert strict_json(err)["error"] == {"type": "MemoryError",
+                                             "message": "Unable to allocate 80000000000 bytes"}
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_partial_is_valid_json(self, capsys):
+        """The expected rate overflows to inf; the partial state keeps only its finite fields."""
+        code, out, err = run_cli(
+            capsys, "solve-bvp", "--n", "10", "--b", "2", "--btilde", "2",
+            "--length", "1e10", "--k", "1e308", "--nonlinearity", "fisher",
+        )
+        assert (code, out) == (4, "")
+        assert strict_json(err)["partial"] == {"iterations": 0, "observed_rate": 0.0}
 
     def test_bad_flag_raises_system_exit(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -181,8 +181,9 @@ class TestSingularity:
         assert not delta_below_threshold(cfg, 1e-10)
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            is_singular(MatrixConfig(5, 2, 0.0), tol=0.0)
+        for tol in (0.0, -1e-10, float("nan")):
+            with pytest.raises(ValueError):
+                is_singular(MatrixConfig(5, 2, 0.0), tol=tol)
 
 
 class TestNearToeplitzEntry:
