@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import upper_bound
 from .config import MatrixConfig, require_nonsingular
-from .core import _inverse_solver, _parity
+from .core import _inverse_solver
 from .errors import DivergenceError
 
 FISHER = "fisher"
@@ -46,8 +46,11 @@ class BvpProblem:
     def __post_init__(self):
         if self.n != self.cfg.n:
             raise ValueError(f"grid size {self.n} disagrees with operator order {self.cfg.n}")
-        if not self.length > 0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"domain length must be positive and finite, got {self.length}")
+        for name in ("k_coef", "bc_left", "bc_right"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nonlinearity not in (FISHER, BRATU):
             raise ValueError(f"nonlinearity must be 'fisher' or 'bratu', got {self.nonlinearity!r}")
 
@@ -56,9 +59,17 @@ class BvpProblem:
         return self.length / self.n
 
     def f(self, u: np.ndarray) -> np.ndarray:
+        return self._f_into(u, np.empty(np.shape(u)))
+
+    def _f_into(self, u: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None):
+        """f(u) written into ``out`` (not ``u``), as (k u)(1 - u) or exp(u) k."""
         if self.nonlinearity == FISHER:
-            return self.k_coef * u * (1.0 - u)
-        return self.k_coef * np.exp(u)
+            np.multiply(u, self.k_coef, out=out)
+            out *= np.subtract(1.0, u, out=scratch)
+        else:
+            np.exp(u, out=out)
+            out *= self.k_coef
+        return out
 
 
 @dataclass
@@ -92,11 +103,15 @@ def _initial_iterate(prob: BvpProblem) -> np.ndarray:
     mode of the operator, so the observed rate settles to the true contraction
     factor within a few steps (the smooth bump is the slowest mode when b > 0).
     """
-    i = np.arange(1, prob.n + 1, dtype=float)
-    u = np.sin(np.pi * i / (prob.n + 1))
+    u = np.arange(1, prob.n + 1, dtype=float)
+    u *= np.pi
+    u /= prob.n + 1
+    np.sin(u, out=u)
     if prob.cfg.b < 0:
-        u = u * -_parity(np.arange(1, prob.n + 1))
-    return 0.5 * u / np.abs(u).max()
+        np.negative(u[1::2], out=u[1::2])
+    peak = np.abs(u).max()
+    u *= 0.5
+    return np.divide(u, peak, out=u)
 
 
 def solve_fixed_point(
@@ -119,18 +134,21 @@ def solve_fixed_point(
     require_nonsingular(prob.cfg)
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     u = _initial_iterate(prob) if u0 is None else np.array(u0, dtype=float)
-    if u.shape != (prob.n,):
-        raise ValueError(f"initial iterate must have length {prob.n}, got shape {u.shape}")
+    if u0 is not None and (u.shape != (prob.n,) or not np.isfinite(u).all()):
+        raise ValueError(f"initial iterate must be {prob.n} finite values, got shape {u.shape}")
 
     h2 = prob.h**2
     # The scaled operator -c_hat * A couples the boundary nodes through its
     # off-diagonal c_hat; moved to the right-hand side they give -c_hat * bc,
     # so g = A^{-1} bc.  The solver carries h^2 / -c_hat, undone on its input.
     solve = _inverse_solver(prob.cfg, scale=h2 / -prob.cfg.c_hat)
-    bc = np.zeros(prob.n)
-    bc[0], bc[-1] = prob.bc_left, prob.bc_right
-    g = solve(bc * (-prob.cfg.c_hat / h2))
+    g = np.zeros(prob.n)
+    g[0], g[-1] = prob.bc_left, prob.bc_right
+    g *= -prob.cfg.c_hat / h2
+    solve(g, out=g)
 
     exp_rate = expected_rate(prob)
     steps: list[float] = []
@@ -148,7 +166,7 @@ def solve_fixed_point(
     # nan; the non-finite step reports it, so the prefix sums may stay quiet.
     with np.errstate(invalid="ignore"):
         for _ in range(max_iter):
-            solve(prob.f(u), out=u_next)
+            solve(prob._f_into(u, u_next, scratch=diff), out=u_next)
             u_next += g
             np.subtract(u_next, u, out=diff)
             step = float(np.abs(diff, out=diff).max())

@@ -149,7 +149,9 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     ||A y - x|| stays within a few eps of ||A|| ||y|| + ||x||, also near the
     singular corners.  The rank-one generator product u_min(i,j) v_max(i,j) / D
     is not: it loses digits on oscillating right-hand sides and near the
-    corners.  ``solve`` reuses one internal buffer, so it is not reentrant.
+    corners.  ``solve`` works in ``out`` alone, so it is reentrant, and ``x``
+    may be ``out``: each entry of ``x`` is read before that entry of ``out``
+    is written, and ``x`` is not read again.
     """
     import numpy as np
 
@@ -162,36 +164,32 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     # (1, -1), each a multiple of the distance to one singular corner.
     q_sum = beta / (sign * (cfg.b_tilde - s1))
     q_diff = beta / (sign * (n - 1) / (n + 1) * (cfg.b_tilde - s2))
-    k = np.arange(1.0, n + 1.0)
-    mid = 1.0 / (k * (k + 1.0))
-    if sign > 0:
-        sigma = None
-        pre = scale * k
-        post = k
-    else:
-        sigma = _parity(np.arange(1, n + 1))
-        pre = -scale * sigma * k
-        post = sigma * k
-    buf = np.empty(n)
+    post = np.arange(1.0, n + 1.0)
+    mid = post + 1.0
+    mid *= post
+    np.divide(1.0, mid, out=mid)
+    pre = post * scale
+    if sign < 0:  # pre = -scale (-1)^i i and post = (-1)^i i, built in place
+        np.negative(pre[1::2], out=pre[1::2])
+        np.negative(post[::2], out=post[::2])
 
     def solve(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty(n)
-        np.multiply(x, pre, out=buf)
-        np.add.accumulate(buf, out=buf)
-        np.multiply(buf, mid, out=buf)
-        rev = buf[::-1]
+        out = np.multiply(x, pre, out=out)
+        np.add.accumulate(out, out=out)
+        out *= mid
+        rev = out[::-1]
         np.add.accumulate(rev, out=rev)
-        z1, zn = float(buf[0]), n * float(buf[-1])
+        z1, zn = float(out[0]), n * float(out[-1])
         c_sum, c_diff = q_sum * (z1 + zn), q_diff * (z1 - zn)
         c1 = 0.5 * (c_sum + c_diff)
         # y_i = i (s_i + (c1 - c2)/(n+1)) - c1 in the b = +2 frame.
-        np.add(buf, c_diff / (n + 1), out=buf)
-        np.multiply(buf, post, out=out)
-        if sigma is None:
+        out += c_diff / (n + 1)
+        out *= post
+        if sign > 0:
             out -= c1
         else:
-            out -= np.multiply(sigma, c1, out=buf)
+            out[::2] += c1
+            out[1::2] -= c1
         return out
 
     return solve

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from neartoeplitz import (
+    BvpResult,
+    DivergenceError,
     MatrixConfig,
     PivotBreakdownError,
     assemble_inverse,
     build_matrix,
     exact_infinity_norm,
+    expected_rate,
     is_singular,
     reference_inverse,
 )
-from neartoeplitz.config import _delta_factored
+from neartoeplitz.config import _delta_factored, require_nonsingular
+from neartoeplitz.core import _parity
 from neartoeplitz.oracle import PIVOT_RTOL
 
 SWEEP_N = range(4, 31)
@@ -120,6 +125,115 @@ def banded_lu_solve(cfg, x):
     ab[1, :] = cfg.b * s
     ab[1, 0] = ab[1, -1] = cfg.b_tilde * s
     return solve_banded((1, 1), ab, x)
+
+
+def allocating_inverse_solver(cfg, scale):
+    """``core._inverse_solver`` as it was before it built its weights in place.
+
+    Kept as the bitwise reference of the factored solve; see that function for
+    the algebra.
+    """
+    require_nonsingular(cfg)
+    n = cfg.n
+    s1, s2 = cfg.singular_points()
+    sign = cfg.sign
+    beta = sign * cfg.b_tilde - 2.0
+    q_sum = beta / (sign * (cfg.b_tilde - s1))
+    q_diff = beta / (sign * (n - 1) / (n + 1) * (cfg.b_tilde - s2))
+    k = np.arange(1.0, n + 1.0)
+    mid = 1.0 / (k * (k + 1.0))
+    if sign > 0:
+        sigma = None
+        pre = scale * k
+        post = k
+    else:
+        sigma = _parity(np.arange(1, n + 1))
+        pre = -scale * sigma * k
+        post = sigma * k
+    buf = np.empty(n)
+
+    def solve(x, out=None):
+        if out is None:
+            out = np.empty(n)
+        np.multiply(x, pre, out=buf)
+        np.add.accumulate(buf, out=buf)
+        np.multiply(buf, mid, out=buf)
+        rev = buf[::-1]
+        np.add.accumulate(rev, out=rev)
+        z1, zn = float(buf[0]), n * float(buf[-1])
+        c_sum, c_diff = q_sum * (z1 + zn), q_diff * (z1 - zn)
+        c1 = 0.5 * (c_sum + c_diff)
+        np.add(buf, c_diff / (n + 1), out=buf)
+        np.multiply(buf, post, out=out)
+        if sigma is None:
+            out -= c1
+        else:
+            out -= np.multiply(sigma, c1, out=buf)
+        return out
+
+    return solve
+
+
+def allocating_fixed_point(prob, u0=None, tol=1e-10, max_iter=10_000):
+    """``bvp.solve_fixed_point`` as it was before it reused its n-vectors.
+
+    f(u), the sine bump, the solver's weights and g are new arrays here, made
+    by the same expressions; kept as the bitwise reference of the in-place
+    iteration, with the same step history, rates and DivergenceError messages.
+    """
+    require_nonsingular(prob.cfg)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if u0 is None:
+        i = np.arange(1, prob.n + 1, dtype=float)
+        u = np.sin(np.pi * i / (prob.n + 1))
+        if prob.cfg.b < 0:
+            u = u * -_parity(np.arange(1, prob.n + 1))
+        u = 0.5 * u / np.abs(u).max()
+    else:
+        u = np.array(u0, dtype=float)
+
+    def f(u):
+        if prob.nonlinearity == "fisher":
+            return prob.k_coef * u * (1.0 - u)
+        return prob.k_coef * np.exp(u)
+
+    h2 = prob.h**2
+    solve = allocating_inverse_solver(prob.cfg, scale=h2 / -prob.cfg.c_hat)
+    bc = np.zeros(prob.n)
+    bc[0], bc[-1] = prob.bc_left, prob.bc_right
+    g = solve(bc * (-prob.cfg.c_hat / h2))
+
+    exp_rate = expected_rate(prob)
+    steps = []
+    growth_streak = 0
+    u_next = np.empty(prob.n)
+    diff = np.empty(prob.n)
+
+    def result(converged=False):
+        rate = max((b / a for a, b in zip(steps, steps[1:])), default=0.0)
+        return BvpResult(solution=u, iterations=len(steps), observed_rate=rate,
+                         expected_rate=exp_rate, converged=converged, steps=steps)
+
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_iter):
+            solve(f(u), out=u_next)
+            u_next += g
+            np.subtract(u_next, u, out=diff)
+            step = float(np.abs(diff, out=diff).max())
+            if not math.isfinite(step):
+                raise DivergenceError("iterate overflowed", partial=result())
+            if steps:
+                growth_streak = growth_streak + 1 if step > steps[-1] else 0
+            steps.append(step)
+            u, u_next = u_next, u
+            if step <= tol:
+                return result(True)
+            if growth_streak >= 5:
+                raise DivergenceError(
+                    "step size grew for 5 consecutive iterations", partial=result()
+                )
+    return result()
 
 
 def entry_b2_simplified(n: int, b_tilde: float, i: int, j: int) -> float:

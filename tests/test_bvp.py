@@ -1,6 +1,8 @@
 """Fixed-point solver: predicted rates, initial iterate, iteration behavior."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from neartoeplitz import (
 from neartoeplitz.bvp import _initial_iterate
 from neartoeplitz.tables import REPRODUCTION_TOL
 
-from helpers import banded_lu_solve
+from helpers import allocating_fixed_point, banded_lu_solve, bitwise_equal
 
 
 def fisher_problem(n, b, bt, length, k):
@@ -174,6 +176,19 @@ class TestSolveFixedPoint:
             solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0), tol=math.nan)
         with pytest.raises(ValueError):
             solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0), u0=np.zeros(9))
+        cfg = MatrixConfig(10, 2, 2.0)
+        for bad in ({"length": math.inf}, {"k_coef": math.nan}, {"k_coef": math.inf},
+                    {"k_coef": -math.inf}, {"bc_left": math.nan}, {"bc_right": math.inf}):
+            fields = dict(n=10, length=1.0, k_coef=1.0, nonlinearity="fisher", cfg=cfg) | bad
+            with pytest.raises(ValueError, match="finite"):
+                BvpProblem(**fields)
+        prob = fisher_problem(10, 2, 2.0, 1.0, 1.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_fixed_point(prob, u0=[0.5] * 9 + [value])
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter"):
+                solve_fixed_point(prob, max_iter=max_iter)
 
     def test_step_history_audits_observed_rate(self):
         for prob in (fisher_problem(50, 2, 2.0, 0.5, 4.0), fisher_problem(50, -2, -2.0, 0.05, 81.0)):
@@ -229,3 +244,63 @@ class TestSolveFixedPoint:
 
     def test_grid_spacing(self):
         assert fisher_problem(50, 2, 2.0, 0.5, 1.0).h == pytest.approx(0.01)
+
+
+#: (k_coef / -c_hat, max_iter) that end each run converged, at max_iter, or diverged.
+REGIMES = {"converged": (0.8, 200), "max_iter": (2.0, 4), "diverged": (60.0, 200)}
+
+
+def outcome(solver, prob, **kwargs):
+    """(result, None) of a finished run, or (partial result, message) of a diverged one."""
+    try:
+        return solver(prob, **kwargs), None
+    except DivergenceError as exc:
+        return exc.partial, str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("regime", list(REGIMES))
+@pytest.mark.parametrize("kind", ["fisher", "bratu"])
+@pytest.mark.parametrize("b", [2, -2])
+def test_bitwise_equal_to_allocating_loop(b, kind, regime):
+    """The in-place iteration gives the bits of the loop that allocated f(u) every step."""
+    cases = [(c_hat, given) for c_hat in (-1.0, 2.5, -0.3) for given in (False, True)]
+    for n, (c_hat, given) in zip((4, 5, 50, 51, 1000, 20001), cases):
+        k, max_iter = REGIMES[regime]
+        prob = BvpProblem(n=n, length=1.0, k_coef=-k * c_hat, nonlinearity=kind,
+                          cfg=MatrixConfig(n, b, 2.5 * b, c_hat), bc_left=0.1, bc_right=0.3)
+        u0 = np.linspace(-0.2, 0.6, n) if given else None
+        got, message = outcome(solve_fixed_point, prob, u0=u0, max_iter=max_iter)
+        want, want_message = outcome(allocating_fixed_point, prob, u0=u0, max_iter=max_iter)
+        assert (message is not None, got.converged) == (regime == "diverged", regime == "converged")
+        assert message == want_message
+        assert bitwise_equal(got.solution, want.solution)
+        assert got.steps == want.steps
+        assert (got.iterations, got.observed_rate, got.expected_rate) == (
+            want.iterations, want.observed_rate, want.expected_rate)
+
+
+@pytest.mark.parametrize("kind", ["fisher", "bratu"])
+@pytest.mark.parametrize("b", [2, -2])
+def test_solve_holds_at_most_nine_n_vectors(b, kind):
+    """Every n-vector is allocated once per solve, none per step.
+
+    The live vectors are the iterate, the next iterate, g, one scratch vector
+    and the solver's pre, post and mid weights: 7 of 8 n bytes.  The guard
+    allows 9; allocating f(u) and a solver buffer peaked at 10 to 12.
+    """
+    n = 100_000
+    prob = BvpProblem(n=n, length=1.0, k_coef=1.0, nonlinearity=kind,
+                      cfg=MatrixConfig(n, b, 2.5 * b), bc_left=0.1, bc_right=0.3)
+    # Predicted rates at which no step of the 30 reaches the rounding floor;
+    # Bratu at b = -2 contracts far faster than its prediction.
+    rate = 2.5 if (b, kind) == (-2, "bratu") else 0.9
+    prob = dataclasses.replace(prob, k_coef=rate / expected_rate(prob))
+    tracemalloc.start()
+    try:
+        res = solve_fixed_point(prob, tol=1e-300, max_iter=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.iterations, res.converged) == (30, False)
+    assert peak <= 9 * 8 * n + 64 * 1024

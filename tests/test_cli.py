@@ -279,6 +279,18 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert strict_json(err)["partial"] == {"iterations": 0, "observed_rate": 0.0}
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "nan"), ("--k", "inf"), ("--bc-left", "nan"), ("--length", "inf"),
+        ("--max-iter", "0"), ("--max-iter", "-3"),
+    ])
+    def test_invalid_bvp_input_is_2(self, capsys, flag, value):
+        """Non-finite inputs and max_iter < 1 are refused before any step runs."""
+        args = {"--n": "10", "--b": "2", "--btilde": "3", "--length": "1",
+                "--nonlinearity": "fisher", "--k": "1"} | {flag: value}
+        code, out, err = run_cli(capsys, "solve-bvp", *[x for kv in args.items() for x in kv])
+        assert (code, out) == (2, "")
+        assert strict_json(err)["error"]["type"] == "ValueError"
+
     def test_bad_flag_raises_system_exit(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["trace", "--n", "4", "--b", "7", "--btilde", "2"])

@@ -26,6 +26,7 @@ from neartoeplitz.config import _MAX_DENSE_ORDER, delta_below_threshold
 from neartoeplitz.core import _inverse_solver
 
 from helpers import (
+    allocating_inverse_solver,
     banded_lu_solve,
     bitwise_equal,
     btilde_samples,
@@ -467,6 +468,21 @@ class TestInverseSolver:
         assert y is out
         expected = 0.125 * assemble_inverse(cfg).entries @ x
         assert np.abs(y - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [4, 5, 50, 51, 1000, 1001])
+    def test_output_may_be_the_input(self, n):
+        # solve reads each entry of x before it writes that entry of out; the
+        # strided +-c1 updates of b = -2 meet both parities of n.  Working in
+        # out alone gives the bits of the solver that used its own buffer.
+        for cfg, rhs in solver_cases(n):
+            solve = _inverse_solver(cfg, scale=0.3 / -cfg.c_hat)
+            reference = allocating_inverse_solver(cfg, scale=0.3 / -cfg.c_hat)
+            for x in rhs:
+                want = solve(x)
+                y = x.copy()
+                assert solve(y, out=y) is y
+                assert bitwise_equal(y, want)
+                assert bitwise_equal(want, reference(x))
 
     def test_singular_rejection(self):
         with pytest.raises(SingularMatrixError):
