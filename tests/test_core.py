@@ -16,12 +16,15 @@ from neartoeplitz import (
     build_matrix,
     exact_infinity_norm,
     is_singular,
+    lower_bound,
     near_toeplitz_inverse_entry,
     reference_inverse,
     sign_pattern,
     toeplitz_inverse_entry,
+    trace_inverse,
     upper_bound,
 )
+from neartoeplitz.analysis import _BRANCHES_B2, _BRANCHES_BM2
 from neartoeplitz.config import _MAX_DENSE_ORDER, delta_below_threshold
 from neartoeplitz.core import _inverse_solver
 
@@ -242,7 +245,40 @@ def test_parity_reflection(n, bt, data):
     minus = near_toeplitz_inverse_entry(MatrixConfig(n, -2, bt), i, j)
     plus = near_toeplitz_inverse_entry(MatrixConfig(n, 2, -bt), i, j)
     expected = (-1.0) ** ((i + 1 - j) % 2) * plus
-    assert minus == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert bitwise_equal(np.float64(minus), np.float64(expected))
+
+
+def mirror_btilde(n):
+    """b = -2 corner values: uniform on [-8, 8] and on [-1.2, 1.2], |b_tilde| log-uniform
+    on 1e-12..1e12, and 1e-9..1e-3 from either singular point."""
+    side = st.sampled_from([-1.0, 1.0])
+    return st.one_of(
+        st.floats(-8, 8),
+        st.floats(-1.2, 1.2),
+        st.builds(lambda s, e: s * 10.0**e, side, st.floats(-12, 12)),
+        st.builds(lambda c, s, e: c + s * 10.0**e,
+                  st.sampled_from([-1.0, -(n - 3) / (n - 1)]), side, st.floats(-9, -3)),
+    ).filter(lambda bt: not is_singular(MatrixConfig(n, -2, bt)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 60), data=st.data())
+def test_b_minus_2_is_the_mirrored_b_plus_2(n, data):
+    """A_{-2}(bt)^-1 = -S A_{+2}(-bt)^-1 S with S = diag((-1)^i), bit for bit in the trace,
+    both bounds, the grid and the factored solve."""
+    bt = data.draw(mirror_btilde(n))
+    minus, plus = MatrixConfig(n, -2, bt), MatrixConfig(n, 2, -bt)
+    assert bitwise_equal(np.float64(trace_inverse(minus)), np.float64(0.0 - trace_inverse(plus)))
+    assert lower_bound(minus) == lower_bound(plus)
+    ub_minus, ub_plus = upper_bound(minus), upper_bound(plus)
+    assert (ub_minus.value, ub_minus.terms) == (ub_plus.value, ub_plus.terms)
+    assert _BRANCHES_BM2.index(ub_minus.branch) == _BRANCHES_B2.index(ub_plus.branch)
+    sigma = 1.0 - 2.0 * (np.arange(1, n + 1) & 1)
+    mirrored = -np.outer(sigma, sigma) * assemble_inverse(plus).entries + 0.0
+    assert bitwise_equal(assemble_inverse(minus).entries, mirrored)
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    want = sigma * _inverse_solver(plus, scale=0.3)(-sigma * x)
+    assert bitwise_equal(_inverse_solver(minus, scale=0.3)(x), want)
 
 
 @settings(max_examples=120, deadline=None)
