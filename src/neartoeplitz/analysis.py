@@ -3,9 +3,9 @@
 Row sums and the trace have closed forms; the exact infinity norm takes O(n^2)
 time and O(n) memory over the closed-form entries.  The lower / upper norm
 bounds implement the published bound formulas with explicit branch selection
-on b_tilde.  Everything for b = -2 reduces to the b = +2 case with the corner
-value mirrored (entries agree up to parity signs, so all absolute row sums
-coincide).
+on b_tilde.  The trace, the norm and the bounds for b = -2 are the b = +2 ones
+at the mirrored corner (``config._plus_frame``); the b = -2 row-sum closed
+forms, branch names and sign-pattern statement are kept as stated.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import MatrixConfig, require_dense_order, require_nonsingular
+from .config import MatrixConfig, _plus_frame, require_dense_order, require_nonsingular
 from .core import _bands, _parity
 from .errors import UnsupportedCaseError
 
@@ -42,19 +42,16 @@ class BoundsReport:
 def trace_inverse(cfg: MatrixConfig) -> float:
     """Exact trace of the inverse.
 
-    Tr = n(n+2)/(3b) - 2*beta*n / (3*(1+r)) + beta*n / (3*(1+r)*(n+1+r*(n-1)))
-    with beta = b_tilde - b and r = 2*beta/b.  Nonsingularity guarantees
-    1 + r != 0.
+    Tr = n(n+2)/6 - 2*r*n / (3*(1+r)) + r*n / (3*(1+r)*(n+1+r*(n-1)))
+    with r = b_tilde - 2 in the b = +2 frame (``config._plus_frame``); b = -2 returns
+    0.0 - Tr, so an exact zero stays +0.0.  Nonsingularity guarantees 1 + r != 0.
     """
     require_nonsingular(cfg)
-    n, b = cfg.n, cfg.b
-    beta = cfg.b_tilde - b
-    r = 2.0 * beta / b
-    return (
-        n * (n + 2) / (3.0 * b)
-        - 2.0 * beta * n / (3.0 * (1.0 + r))
-        + beta * n / (3.0 * (1.0 + r) * (n + 1 + r * (n - 1)))
-    )
+    bt, flip = _plus_frame(cfg)
+    n, r = cfg.n, bt - 2.0
+    t = n * (n + 2) / 6.0 - 2.0 * r * n / (3.0 * (1.0 + r)) + r * n / (
+        3.0 * (1.0 + r) * (n + 1 + r * (n - 1)))
+    return 0.0 - t if flip else t
 
 
 def _rowsum(cfg: MatrixConfig, i):
@@ -150,11 +147,11 @@ def lower_bound(cfg: MatrixConfig) -> float:
     """Lower bound on the infinity norm of the inverse.
 
     L = max{ |n(n-2)/8 - n/(2(1-b_tilde))|, |n/(2(1-b_tilde))| } for b = 2;
-    for b = -2 the same value with the corner mirrored (the norms coincide).
+    for b = -2 the same value at the mirrored corner (``config._plus_frame``).
     """
     require_nonsingular(cfg)
     n = cfg.n
-    bt = cfg.b_tilde if cfg.b == 2 else -cfg.b_tilde
+    bt, _ = _plus_frame(cfg)
     half = n / (2.0 * (1.0 - bt))
     return max(abs(n * (n - 2) / 8.0 - half), abs(half))
 
@@ -175,41 +172,34 @@ _BRANCHES_BM2 = (
 )
 
 
-def _upper_bound_b2(n: int, bt: float) -> tuple[float, int, dict[str, float]]:
-    """Five-regime upper bound for b = 2; returns (value, branch index, terms)."""
-    gamma = (2.0 - bt) / (1.0 - bt)
-    if bt > 1.0:
-        return (n + 1) ** 2 / 8.0 - n * gamma / 2.0, 0, {}
-    if bt >= (n - 2) / (n - 1):
-        return n * (gamma - 1.0) / 2.0, 1, {}
-    if bt > (n - 3) / (n - 1):
-        P = n * (1.0 - gamma) / 2.0 + (gamma - 1.0) ** 2 * (gamma + 1.0) / (2.0 * gamma - n - 1)
-        Q = n * (gamma - 1.0) / 2.0 + gamma / (2.0 * gamma - n - 1) * (n + 1) ** 2 / 16.0 + 0.5
-        return max(P, Q), 2, {"P": P, "Q": Q}
-    if bt > 0.0:
-        P = n * (1.0 - gamma) / 2.0 + (gamma - 1.0) ** 2 * (gamma + 1.0) / (2.0 * gamma - n - 1)
-        R = (n + 1) ** 2 / 8.0 - gamma * ((n + 1) / 2.0 - gamma)
-        return max(-P, R), 3, {"P": P, "R": R}
-    S = (n + 1) ** 2 / 8.0 + (4.0 - n * (2.0 - bt)) / (2.0 * (1.0 - bt))
-    T = (1.0 / (1.0 - bt)) * (n / 2.0 + 2.0 / ((n - 1) * (1.0 - bt) - 2.0))
-    return max(S, T), 4, {"S": S, "T": T}
-
-
 def upper_bound(cfg: MatrixConfig) -> UpperBound:
     """Upper bound on the infinity norm, with branch id and named intermediates.
 
-    Branch endpoints: b_tilde equal to (n-2)/(n-1) takes the linear branch,
-    b_tilde = 0 the max{S, T} branch.  The b = -2 intervals are the mirror
-    images (the bound is evaluated at the mirrored corner value, where the
-    norm is identical).  For n >= 9 and the b_tilde <= 0 regime (after
-    mirroring) max{S, T} collapses to S.
+    The five regimes are stated for b = +2 and evaluated at the corner of
+    ``config._plus_frame``; the b = -2 intervals are their mirror images.  Branch
+    endpoints: b_tilde equal to (n-2)/(n-1) takes the linear branch, b_tilde = 0
+    the max{S, T} branch.  For n >= 9 and b_tilde <= 0 max{S, T} collapses to S.
     """
     require_nonsingular(cfg)
     n = cfg.n
-    bt = cfg.b_tilde if cfg.b == 2 else -cfg.b_tilde
-    value, idx, terms = _upper_bound_b2(n, bt)
-    branch = (_BRANCHES_B2 if cfg.b == 2 else _BRANCHES_BM2)[idx]
-    return UpperBound(value=value, branch=branch, terms=terms)
+    bt, flip = _plus_frame(cfg)
+    names = _BRANCHES_BM2 if flip else _BRANCHES_B2
+    gamma = (2.0 - bt) / (1.0 - bt)
+    if bt > 1.0:
+        return UpperBound((n + 1) ** 2 / 8.0 - n * gamma / 2.0, names[0], {})
+    if bt >= (n - 2) / (n - 1):
+        return UpperBound(n * (gamma - 1.0) / 2.0, names[1], {})
+    if bt > (n - 3) / (n - 1):
+        P = n * (1.0 - gamma) / 2.0 + (gamma - 1.0) ** 2 * (gamma + 1.0) / (2.0 * gamma - n - 1)
+        Q = n * (gamma - 1.0) / 2.0 + gamma / (2.0 * gamma - n - 1) * (n + 1) ** 2 / 16.0 + 0.5
+        return UpperBound(max(P, Q), names[2], {"P": P, "Q": Q})
+    if bt > 0.0:
+        P = n * (1.0 - gamma) / 2.0 + (gamma - 1.0) ** 2 * (gamma + 1.0) / (2.0 * gamma - n - 1)
+        R = (n + 1) ** 2 / 8.0 - gamma * ((n + 1) / 2.0 - gamma)
+        return UpperBound(max(-P, R), names[3], {"P": P, "R": R})
+    S = (n + 1) ** 2 / 8.0 + (4.0 - n * (2.0 - bt)) / (2.0 * (1.0 - bt))
+    T = (1.0 / (1.0 - bt)) * (n / 2.0 + 2.0 / ((n - 1) * (1.0 - bt) - 2.0))
+    return UpperBound(max(S, T), names[4], {"S": S, "T": T})
 
 
 def bounds_report(cfg: MatrixConfig) -> BoundsReport:

@@ -11,12 +11,13 @@ h^2 * ||A^{-1}|| * L_c, with L_c the Lipschitz constant of f on [0, 1].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import upper_bound
-from .config import MatrixConfig, require_nonsingular
+from .config import MatrixConfig, _plus_frame, require_nonsingular
 from .core import _inverse_solver
 from .errors import DivergenceError
 
@@ -107,7 +108,7 @@ def _initial_iterate(prob: BvpProblem) -> np.ndarray:
     u *= np.pi
     u /= prob.n + 1
     np.sin(u, out=u)
-    if prob.cfg.b < 0:
+    if _plus_frame(prob.cfg)[1]:
         np.negative(u[1::2], out=u[1::2])
     peak = np.abs(u).max()
     u *= 0.5
@@ -134,7 +135,7 @@ def solve_fixed_point(
     require_nonsingular(prob.cfg)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not max_iter >= 1:
+    if not operator.index(max_iter) >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     u = _initial_iterate(prob) if u0 is None else np.array(u0, dtype=float)
     if u0 is not None and (u.shape != (prob.n,) or not np.isfinite(u).all()):

@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", help="also write the report to this path")
 
     mat = argparse.ArgumentParser(add_help=False)
-    mat.add_argument("--n", type=int, required=True, help="matrix order (>= 4)")
+    mat.add_argument("--n", type=int, required=True, help="matrix order (4..2**53)")
     mat.add_argument("--b", type=int, choices=(2, -2), required=True)
     mat.add_argument("--btilde", type=float, required=True, help="corner diagonal value")
     mat.add_argument("--chat", type=float, default=-1.0, help="scaling c_hat (default -1)")

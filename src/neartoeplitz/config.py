@@ -1,4 +1,4 @@
-"""Matrix configuration and singularity detection.
+"""Matrix configuration, singularity detection, and the b = +2 frame (``_plus_frame``).
 
 The library works on the normalized operator: an n x n symmetric tridiagonal
 matrix with constant diagonal ``b`` (|b| = 2), off-diagonals -1, and both
@@ -17,6 +17,8 @@ from .errors import DenseSizeError, SingularMatrixError
 
 #: Default half-width of the singular neighborhoods on the b_tilde axis.
 SINGULARITY_TOL = 1e-10
+#: Largest order: above 2**53, n - i is not an exact float.
+_MAX_ORDER = 2**53
 #: Largest order of an n x n result: one float64 array at the cap takes 2 GiB.
 _MAX_DENSE_ORDER = 2**14
 
@@ -25,7 +27,7 @@ _MAX_DENSE_ORDER = 2**14
 class MatrixConfig:
     """The quadruple (n, b, b_tilde, c_hat) defining the operator.
 
-    n       : matrix order, at least 4; any integer type (``operator.index``)
+    n       : matrix order, 4..2**53; any integer type (``operator.index``)
     b       : Toeplitz diagonal after normalization, exactly +2 or -2
     b_tilde : corner diagonal after normalization
     c_hat   : nonzero scaling of the unnormalized matrix (default -1, i.e.
@@ -42,8 +44,8 @@ class MatrixConfig:
             n = operator.index(self.n)
         except TypeError:
             n = None
-        if n is None or n < 4:
-            raise ValueError(f"matrix order must be an integer >= 4, got {self.n!r}")
+        if n is None or not 4 <= n <= _MAX_ORDER:
+            raise ValueError(f"matrix order must be an integer in 4..2**53, got {self.n!r}")
         object.__setattr__(self, "n", n)
         if self.b not in (2, -2):
             raise ValueError(f"diagonal b must be +2 or -2, got {self.b!r}")
@@ -52,15 +54,21 @@ class MatrixConfig:
         if self.c_hat == 0 or not math.isfinite(self.c_hat):
             raise ValueError(f"scaling c_hat must be finite and nonzero, got {self.c_hat!r}")
 
-    @property
-    def sign(self) -> int:
-        """sgn(b), i.e. +1 or -1."""
-        return 1 if self.b > 0 else -1
-
     def singular_points(self) -> tuple[float, float]:
-        """The two corner values at which the matrix is exactly singular."""
-        s = self.sign
+        """The two corner values at which the matrix is singular, sgn(b) (1, (n-3)/(n-1))."""
+        s = 1 if self.b > 0 else -1
         return (s * 1.0, s * (self.n - 3) / (self.n - 1))
+
+
+def _plus_frame(cfg: MatrixConfig) -> tuple[float, bool]:
+    """(sgn(b) b_tilde, b == -2): the corner in the b = +2 frame and whether to flip back.
+
+    A_{-2}(b_tilde)^{-1} = -S A_{+2}(-b_tilde)^{-1} S with S = diag((-1)^i).  The closed
+    forms work at b = +2, with r = b_tilde - 2 (the same float as 2 (b_tilde - b) / b,
+    since scaling by 2 and negation are exact), and flip once at the output: entry
+    (i, j) by -(-1)^(i+j), the trace by negation.  Numeric code reads b only here.
+    """
+    return (-cfg.b_tilde, True) if cfg.b < 0 else (cfg.b_tilde, False)
 
 
 def _delta_factored(cfg: MatrixConfig) -> float:

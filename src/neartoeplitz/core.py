@@ -1,16 +1,17 @@
 """Closed-form entries of the inverse and full-inverse assembly.
 
 All index arguments are 1-based, matching the usual statement of the entry
-formulas.  Formulas are written for the lower triangle (i >= j); the upper
-triangle follows by symmetry and is obtained by swapping indices.
+formulas.  Formulas are written for the lower triangle (i >= j) in the b = +2
+frame of ``config._plus_frame``; symmetry swaps indices, the frame flips b = -2.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .config import MatrixConfig, require_dense_order, require_nonsingular
+from .config import _MAX_ORDER, MatrixConfig, _plus_frame, require_dense_order, require_nonsingular
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,7 +33,7 @@ class InverseMatrix:
 
 
 def _check_index(n: int, i: int, j: int) -> None:
-    if not (1 <= i <= n and 1 <= j <= n):
+    if not (1 <= operator.index(i) <= n and 1 <= operator.index(j) <= n):
         raise IndexError(f"indices must lie in 1..{n}, got (i={i}, j={j})")
 
 
@@ -42,17 +43,17 @@ def _generators(n: int, r: float, j, i):
 
 
 def _parity(i):
-    """(-1)^i at an integer or integer array i; S = diag((-1)^i): A_{-2}(bt)^-1 = -S A_{+2}(-bt)^-1 S."""
+    """(-1)^i at an integer or integer array i: the diagonal of S in ``config._plus_frame``."""
     return 1.0 - 2.0 * (i & 1)
 
 
-def _entry(n: int, b: int, r: float, i: int, j: int) -> float:
-    """s_ij u_min(i,j) v_max(i,j) / D at corner ratio r; r = 0 is the Toeplitz inverse."""
+def _entry(n: int, bt: float, flip: bool, i: int, j: int) -> float:
+    """s_ij u_min(i,j) v_max(i,j) / D in the frame (bt, flip); bt = 2 is the Toeplitz inverse."""
     if i < j:
         i, j = j, i
-    u, v, d = _generators(n, r, j, i)
+    u, v, d = _generators(n, bt - 2.0, j, i)
     value = u * v / d
-    if b == -2 and (i + 1 - j) % 2 == 1:
+    if flip and (i + 1 - j) % 2 == 1:
         value = -value
     return value
 
@@ -64,12 +65,12 @@ def toeplitz_inverse_entry(n: int, b: int, i: int, j: int) -> float:
     is a parity sign for b = -2 and is computed as such.  Any (i, j) order is
     accepted; symmetry swaps internally.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    if not 1 <= operator.index(n) <= _MAX_ORDER:
+        raise ValueError(f"order must be an integer in 1..2**53, got {n}")
     if b not in (2, -2):
         raise ValueError(f"diagonal b must be +2 or -2, got {b!r}")
     _check_index(n, i, j)
-    return _entry(n, b, 0.0, i, j)
+    return _entry(n, 2.0, b < 0, i, j)
 
 
 def near_toeplitz_inverse_entry(
@@ -77,7 +78,7 @@ def near_toeplitz_inverse_entry(
 ) -> float:
     """Entry (i, j) of the inverse of the corner-perturbed matrix.
 
-    With beta = b_tilde - b and r = 2*beta/b, the lower-triangle entry is
+    With r = sgn(b)*b_tilde - 2 = 2*(b_tilde - b)/b, the lower-triangle entry is
 
         (2/b)^(i+1-j) * (j*(1+r) - r) * ((n-i)*(1+r) + 1)
                       / ((1+r) * (n+1 + r*(n-1))).
@@ -90,7 +91,7 @@ def near_toeplitz_inverse_entry(
     """
     require_nonsingular(cfg)
     _check_index(cfg.n, i, j)
-    value = _entry(cfg.n, cfg.b, 2.0 * (cfg.b_tilde - cfg.b) / cfg.b, i, j)
+    value = _entry(cfg.n, *_plus_frame(cfg), i, j)
     if scaled:
         value /= -cfg.c_hat
     return value
@@ -107,11 +108,12 @@ def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = Fa
     import numpy as np
 
     n = cfg.n
+    bt, flip = _plus_frame(cfg)
     k = np.arange(1, n + 1, dtype=float)
-    u, v, d = _generators(n, 2.0 * (cfg.b_tilde - cfg.b) / cfg.b, k, k)
+    u, v, d = _generators(n, bt - 2.0, k, k)
     if absolute:
         u, v, d = np.abs(u), np.abs(v), abs(d)
-    elif cfg.b == -2:
+    elif flip:
         sigma = _parity(np.arange(1, n + 1))
         u *= sigma
         v *= -sigma
@@ -141,9 +143,8 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     2x2 capacitance system with m11 = 1 + beta n/(n+1), m12 = beta/(n+1),
     through its eigenvalues 1 + beta and 1 + beta (n-1)/(n+1).  Their product
     is the factored determinant delta, so the solve breaks down exactly at the
-    two singular corners.  b = -2 goes through
-    A_{-2}(bt)^{-1} = -D A_{+2}(-bt)^{-1} D, D = diag((-1)^i), with D, the
-    sign and ``scale`` folded into precomputed weights.
+    two singular corners.  b = -2 goes through ``config._plus_frame``, with
+    -S and ``scale`` folded into the weights before and S into those after.
 
     This is the LU order, so the solve is backward stable: the residual
     ||A y - x|| stays within a few eps of ||A|| ||y|| + ||x||, also near the
@@ -157,19 +158,18 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
 
     require_nonsingular(cfg)
     n = cfg.n
-    s1, s2 = cfg.singular_points()
-    sign = cfg.sign
-    beta = sign * cfg.b_tilde - 2.0
+    bt, flip = _plus_frame(cfg)
+    beta = bt - 2.0
     # Eigenvalues of the capacitance matrix, on the eigenvectors (1, 1) and
     # (1, -1), each a multiple of the distance to one singular corner.
-    q_sum = beta / (sign * (cfg.b_tilde - s1))
-    q_diff = beta / (sign * (n - 1) / (n + 1) * (cfg.b_tilde - s2))
+    q_sum = beta / (bt - 1.0)
+    q_diff = beta / ((n - 1) / (n + 1) * (bt - (n - 3) / (n - 1)))
     post = np.arange(1.0, n + 1.0)
     mid = post + 1.0
     mid *= post
     np.divide(1.0, mid, out=mid)
     pre = post * scale
-    if sign < 0:  # pre = -scale (-1)^i i and post = (-1)^i i, built in place
+    if flip:  # pre = -scale (-1)^i i and post = (-1)^i i, built in place
         np.negative(pre[1::2], out=pre[1::2])
         np.negative(post[::2], out=post[::2])
 
@@ -185,11 +185,11 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
         # y_i = i (s_i + (c1 - c2)/(n+1)) - c1 in the b = +2 frame.
         out += c_diff / (n + 1)
         out *= post
-        if sign > 0:
-            out -= c1
-        else:
+        if flip:
             out[::2] += c1
             out[1::2] -= c1
+        else:
+            out -= c1
         return out
 
     return solve

@@ -136,7 +136,7 @@ def allocating_inverse_solver(cfg, scale):
     require_nonsingular(cfg)
     n = cfg.n
     s1, s2 = cfg.singular_points()
-    sign = cfg.sign
+    sign = 1 if cfg.b > 0 else -1
     beta = sign * cfg.b_tilde - 2.0
     q_sum = beta / (sign * (cfg.b_tilde - s1))
     q_diff = beta / (sign * (n - 1) / (n + 1) * (cfg.b_tilde - s2))

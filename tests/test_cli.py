@@ -196,6 +196,16 @@ class TestFormatsAndDeterminism:
         assert "11.13919878" in out
 
 
+_MAT = ["--b", "2", "--btilde", "-3"]
+#: One call of every subcommand that takes an order, without its --n.
+ORDER_CALLS = [
+    ["entry", *_MAT, "--i", "1", "--j", "1"], ["entry", *_MAT, "--i", "1", "--j", "1", "--toeplitz"],
+    ["invert", *_MAT], ["trace", *_MAT], ["rowsum", *_MAT], ["rowsum", *_MAT, "--i", "1"],
+    ["norm", *_MAT], ["bounds", *_MAT], ["signs", *_MAT], ["singular", *_MAT],
+    ["solve-bvp", *_MAT, "--length", "1", "--k", "1", "--nonlinearity", "fisher"],
+]
+
+
 class TestExitCodes:
     def test_singular_is_3(self, capsys):
         code, out, err = run_cli(capsys, "norm", "--n", "5", "--b", "2", "--btilde", "1")
@@ -217,6 +227,22 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "signs", "--n", "100000", "--b", "2", "--btilde", "-1")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "DenseSizeError"
+
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**309], ids=["2**53+1", "10**309"])
+    @pytest.mark.parametrize("argv", ORDER_CALLS, ids=" ".join)
+    def test_order_above_2_53_is_2(self, capsys, n, argv):
+        """Above 2**53, n - i is not an exact float: every subcommand refuses the order."""
+        code, out, err = run_cli(capsys, argv[0], "--n", str(n), *argv[1:])
+        assert (code, out) == (2, "")
+        assert strict_json(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [a for a in ORDER_CALLS if a[0] in ("trace", "singular")
+                                      or "--i" in a], ids=" ".join)
+    def test_order_2_53_answers(self, capsys, argv):
+        """entry, trace, rowsum --i and singular are O(1) and answer at the largest order."""
+        code, out, _ = run_cli(capsys, argv[0], "--n", str(2**53), *argv[1:])
+        assert code == 0
+        assert strict_json(out)["inputs"]["n"] == 2**53
 
     def test_index_error_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "entry", "--n", "5", "--b", "2", "--btilde", "3",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neartoeplitz import (
+    BvpProblem,
     DenseSizeError,
     MatrixConfig,
     SingularMatrixError,
@@ -20,6 +21,7 @@ from neartoeplitz import (
     near_toeplitz_inverse_entry,
     reference_inverse,
     sign_pattern,
+    solve_fixed_point,
     toeplitz_inverse_entry,
     trace_inverse,
     upper_bound,
@@ -103,6 +105,33 @@ class TestToeplitzEntry:
             toeplitz_inverse_entry(5, 3, 1, 1)
 
 
+def _fisher_run(max_iter):
+    cfg = MatrixConfig(8, -2, -3.0)
+    prob = BvpProblem(n=8, length=0.5, k_coef=4.0, nonlinearity="fisher", cfg=cfg)
+    res = solve_fixed_point(prob, max_iter=max_iter)
+    return res.iterations, res.steps, res.solution.tolist()
+
+
+#: Integer arguments, each as a function of the argument under test.
+INTEGER_ARGUMENTS = {
+    "entry_index": lambda k: near_toeplitz_inverse_entry(MatrixConfig(6, -2, 0.3), k, 1),
+    "toeplitz_order": lambda k: toeplitz_inverse_entry(k, 2, 1, 1),
+    "max_iter": _fisher_run,
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, "1", np.float64(2.0)], ids=["float", "str", "float64"])
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_non_integers(name, bad):
+    with pytest.raises(TypeError):
+        INTEGER_ARGUMENTS[name](bad)
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_accept_numpy_integers(name):
+    assert INTEGER_ARGUMENTS[name](np.int64(2)) == INTEGER_ARGUMENTS[name](2)
+
+
 class TestMatrixConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -115,6 +144,11 @@ class TestMatrixConfig:
             MatrixConfig(5, 2, float("nan"))
         with pytest.raises(ValueError):
             MatrixConfig(10.0, 2, 1.5)
+        with pytest.raises(ValueError):
+            MatrixConfig(2**53 + 1, 2, 1.5)
+        with pytest.raises(ValueError):
+            toeplitz_inverse_entry(2**53 + 1, 2, 1, 1)
+        assert MatrixConfig(2**53, 2, 1.5).n == 2**53
 
     def test_numpy_integer_order(self):
         cfg = MatrixConfig(np.int64(10), 2, 3.0)

@@ -90,3 +90,23 @@ def test_every_public_function_has_a_caller():
     functions = {name for name in neartoeplitz.__all__
                  if inspect.isfunction(getattr(neartoeplitz, name))}
     assert functions <= used, sorted(functions - used)
+
+
+def _readers(path: Path, attrs: set[str]) -> set[str]:
+    """Top-level functions and classes of a module (``<module>`` for other statements) that
+    read an attribute named in ``attrs``."""
+    tree = ast.parse(path.read_text())
+    return {getattr(stmt, "name", "<module>") for stmt in tree.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and node.attr in attrs}
+
+
+def test_numeric_code_reads_b_only_through_the_frame():
+    """b = -2 is computed as the mirrored b = +2 of ``config._plus_frame``: the closed forms in
+    ``core``, ``bvp``, the trace and the bounds read no ``.b``; only the b = -2 row-sum closed
+    forms and the b = +2-only statements in ``analysis`` do."""
+    package = Path(neartoeplitz.__file__).parent
+    assert not hasattr(neartoeplitz.MatrixConfig, "sign")
+    for module in ("core", "bvp"):
+        assert not _readers(package / f"{module}.py", {"b", "sign"}), module
+    allowed = {"_rowsum", "rowsum_bounds", "sign_pattern"}
+    assert _readers(package / "analysis.py", {"b", "sign"}) <= allowed
