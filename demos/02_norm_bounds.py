@@ -5,7 +5,7 @@ its breakpoints; the bound is tight for b_tilde > 1 and exact at odd n for
 b_tilde <= 0.
 """
 
-from neartoeplitz import MatrixConfig, bounds_report, is_singular
+from neartoeplitz import MatrixConfig, exact_infinity_norm, is_singular, lower_bound, upper_bound
 
 n, b = 13, 2
 print(f"n = {n}, b = {b}; breakpoints at 0, {(n-3)/(n-1):.4f}, {(n-2)/(n-1):.4f}, 1")
@@ -17,13 +17,10 @@ for bt in (-6.0, -2.28, -0.5, 0.0, 0.3, 0.62, 0.87, 0.93, 0.97, 1.8, 3.0, 5.93, 
     if is_singular(cfg):
         print(f"{bt:>8}  {'singular':>10}")
         continue
-    rep = bounds_report(cfg)
-    gap = 100.0 * (rep.upper - rep.exact_norm) / rep.exact_norm
-    print(
-        f"{bt:>8}  {rep.lower:>10.4f}  {rep.exact_norm:>10.4f}  {rep.upper:>10.4f}"
-        f"  {gap:>6.2f}  {rep.branch}"
-    )
+    lower, exact, ub = lower_bound(cfg), exact_infinity_norm(cfg), upper_bound(cfg)
+    gap = 100.0 * (ub.value - exact) / exact
+    print(f"{bt:>8}  {lower:>10.4f}  {exact:>10.4f}  {ub.value:>10.4f}  {gap:>6.2f}  {ub.branch}")
 
 print()
 print("named intermediates of the max{S, T} branch at b_tilde = -2.28:")
-print(" ", bounds_report(MatrixConfig(n, b, -2.28)).terms)
+print(" ", upper_bound(MatrixConfig(n, b, -2.28)).terms)

@@ -17,9 +17,7 @@ throughout, load on first use of one of their names, so scalar results never imp
 from importlib import import_module
 
 from .analysis import (
-    BoundsReport,
     UpperBound,
-    bounds_report,
     exact_infinity_norm,
     lower_bound,
     rowsum,
@@ -62,7 +60,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BoundsReport",
     "BvpProblem",
     "BvpResult",
     "DenseMatrix",
@@ -75,7 +72,6 @@ __all__ = [
     "UnsupportedCaseError",
     "UpperBound",
     "assemble_inverse",
-    "bounds_report",
     "build_matrix",
     "exact_infinity_norm",
     "expected_rate",

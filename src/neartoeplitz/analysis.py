@@ -11,7 +11,6 @@ forms, branch names and sign-pattern statement are kept as stated.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import MatrixConfig, _plus_frame, require_dense_order, require_nonsingular
@@ -25,17 +24,6 @@ if TYPE_CHECKING:
 class UpperBound(NamedTuple):
     value: float
     branch: str
-    terms: dict[str, float]
-
-
-@dataclass
-class BoundsReport:
-    """Lower bound, upper bound with branch id, and the exact infinity norm."""
-
-    lower: float
-    upper: float
-    branch: str
-    exact_norm: float
     terms: dict[str, float]
 
 
@@ -200,15 +188,3 @@ def upper_bound(cfg: MatrixConfig) -> UpperBound:
     S = (n + 1) ** 2 / 8.0 + (4.0 - n * (2.0 - bt)) / (2.0 * (1.0 - bt))
     T = (1.0 / (1.0 - bt)) * (n / 2.0 + 2.0 / ((n - 1) * (1.0 - bt) - 2.0))
     return UpperBound(max(S, T), names[4], {"S": S, "T": T})
-
-
-def bounds_report(cfg: MatrixConfig) -> BoundsReport:
-    """Lower bound, upper bound (with branch), and the exact norm, in one record."""
-    ub = upper_bound(cfg)
-    return BoundsReport(
-        lower=lower_bound(cfg),
-        upper=ub.value,
-        branch=ub.branch,
-        exact_norm=exact_infinity_norm(cfg),
-        terms=ub.terms,
-    )

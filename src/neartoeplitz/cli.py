@@ -17,7 +17,8 @@ import sys
 
 from . import tables
 from .analysis import (
-    bounds_report, exact_infinity_norm, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
+    exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
+    upper_bound,
 )
 from .config import SINGULARITY_TOL, MatrixConfig, singularity_report
 from .core import assemble_inverse, near_toeplitz_inverse_entry, toeplitz_inverse_entry
@@ -102,7 +103,7 @@ def cmd_entry(args) -> str:
 def cmd_invert(args) -> str:
     inv = assemble_inverse(_cfg(args), scaled=args.scaled)
     inputs = _cfg_inputs(args) | {"scaled": args.scaled}
-    return _report(args, inputs, {"n": inv.n, "source": inv.source, "entries": inv.entries})
+    return _report(args, inputs, {"n": args.n, "source": inv.source, "entries": inv.entries})
 
 
 def cmd_trace(args) -> str:
@@ -124,14 +125,11 @@ def cmd_norm(args) -> str:
 
 
 def cmd_bounds(args) -> str:
-    rep = bounds_report(_cfg(args))
-    outputs = {
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "exact_norm": rep.exact_norm,
-        "terms": rep.terms,
-    }
-    return _report(args, _cfg_inputs(args), outputs, branch=rep.branch)
+    cfg = _cfg(args)
+    ub = upper_bound(cfg)
+    outputs = {"lower": lower_bound(cfg), "upper": ub.value, "exact_norm": exact_infinity_norm(cfg),
+               "terms": ub.terms}
+    return _report(args, _cfg_inputs(args), outputs, branch=ub.branch)
 
 
 def cmd_signs(args) -> str:

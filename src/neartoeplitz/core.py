@@ -27,7 +27,6 @@ _BAND = 64
 class InverseMatrix:
     """A realized n x n inverse with provenance tag ('closed_form' or 'oracle')."""
 
-    n: int
     entries: np.ndarray
     source: str
 
@@ -209,4 +208,4 @@ def assemble_inverse(cfg: MatrixConfig, scaled: bool = False) -> InverseMatrix:
         pass
     if scaled:
         entries /= -cfg.c_hat
-    return InverseMatrix(n=cfg.n, entries=entries, source=CLOSED_FORM)
+    return InverseMatrix(entries=entries, source=CLOSED_FORM)

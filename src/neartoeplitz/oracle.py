@@ -23,7 +23,6 @@ PIVOT_RTOL = 1e-13
 class DenseMatrix:
     """Explicit n x n storage of the tridiagonal operator."""
 
-    n: int
     data: np.ndarray
 
 
@@ -43,7 +42,7 @@ def build_matrix(cfg: MatrixConfig, scaled: bool = False) -> DenseMatrix:
     data[n - 1, n - 1] = cfg.b_tilde
     if scaled:
         data = data * (-cfg.c_hat)
-    return DenseMatrix(n=n, data=data)
+    return DenseMatrix(data=data)
 
 
 def _as_array(m: DenseMatrix | np.ndarray) -> np.ndarray:
@@ -81,7 +80,7 @@ def reference_inverse(m: DenseMatrix | np.ndarray) -> InverseMatrix:
         pivot_row = aug[col].copy()
         aug -= np.outer(aug[:, col], pivot_row)
         aug[col] = pivot_row
-    return InverseMatrix(n=n, entries=aug[:, n:], source=ORACLE)
+    return InverseMatrix(entries=aug[:, n:], source=ORACLE)
 
 
 def reference_norm(m: DenseMatrix | np.ndarray) -> float:

@@ -11,7 +11,6 @@ from neartoeplitz import (
     MatrixConfig,
     SingularMatrixError,
     UnsupportedCaseError,
-    bounds_report,
     build_matrix,
     exact_infinity_norm,
     is_singular,
@@ -226,7 +225,6 @@ class TestBandedNorm:
             for b, bt in ((2, -0.4), (-2, 3.0)):
                 cfg = MatrixConfig(4096, b, bt)
                 exact_infinity_norm(cfg)
-                bounds_report(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -300,9 +298,11 @@ class TestUpperBound:
             assert a.terms.keys() == b.terms.keys()
 
     def test_bounds_report_composition(self):
-        rep = bounds_report(MatrixConfig(10, 2, 5.93))
-        assert rep.lower <= rep.exact_norm <= rep.upper
-        assert rep.branch == "btilde_gt_1"
+        """The three numbers the CLI's ``bounds`` report puts side by side."""
+        cfg = MatrixConfig(10, 2, 5.93)
+        ub = upper_bound(cfg)
+        assert lower_bound(cfg) <= exact_infinity_norm(cfg) <= ub.value
+        assert ub.branch == "btilde_gt_1"
 
 
 @settings(max_examples=100, deadline=None)

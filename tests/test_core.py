@@ -13,7 +13,6 @@ from neartoeplitz import (
     MatrixConfig,
     SingularMatrixError,
     assemble_inverse,
-    bounds_report,
     build_matrix,
     exact_infinity_norm,
     is_singular,
@@ -425,8 +424,7 @@ class TestGeneratorGrid:
 class TestDenseSizeCap:
     def test_refused_above_the_cap_before_allocating(self):
         cfg = MatrixConfig(_MAX_DENSE_ORDER + 1, 2, 3.0)
-        calls = [(dense, cfg) for dense in (assemble_inverse, exact_infinity_norm, bounds_report,
-                                            build_matrix)]
+        calls = [(dense, cfg) for dense in (assemble_inverse, exact_infinity_norm, build_matrix)]
         # The sign pattern is stated for b_tilde <= 0 only.
         calls.append((sign_pattern, MatrixConfig(_MAX_DENSE_ORDER + 1, 2, -1.0)))
         tracemalloc.start()

@@ -13,9 +13,9 @@ import neartoeplitz
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "BoundsReport", "BvpProblem", "BvpResult", "DenseMatrix", "DenseSizeError", "DivergenceError",
+    "BvpProblem", "BvpResult", "DenseMatrix", "DenseSizeError", "DivergenceError",
     "InverseMatrix", "MatrixConfig", "PivotBreakdownError", "SingularMatrixError",
-    "UnsupportedCaseError", "UpperBound", "assemble_inverse", "bounds_report", "build_matrix",
+    "UnsupportedCaseError", "UpperBound", "assemble_inverse", "build_matrix",
     "exact_infinity_norm", "expected_rate", "is_singular", "lower_bound",
     "near_toeplitz_inverse_entry", "reference_inverse", "reference_norm", "reference_rowsums",
     "reference_trace", "rowsum", "rowsums", "sign_pattern", "singularity_report",
@@ -62,7 +62,7 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from neartoeplitz import *", namespace)
     del namespace["__builtins__"]
-    assert len(namespace) == 32 and sorted(namespace) == PUBLIC
+    assert len(namespace) == 30 and sorted(namespace) == PUBLIC
     assert all(namespace[name] is getattr(neartoeplitz, name) for name in PUBLIC)
 
 
