@@ -91,11 +91,14 @@ def _cfg_inputs(args) -> dict:
 
 
 def cmd_entry(args) -> str:
+    cfg = _cfg(args)
     inputs = _cfg_inputs(args) | {"i": args.i, "j": args.j}
     if args.toeplitz:
-        value = toeplitz_inverse_entry(args.n, args.b, args.i, args.j)
+        if args.scaled:
+            raise ValueError("--toeplitz gives an entry of the unscaled Toeplitz inverse; drop --scaled")
+        value = toeplitz_inverse_entry(cfg.n, cfg.b, args.i, args.j)
     else:
-        value = near_toeplitz_inverse_entry(_cfg(args), args.i, args.j, scaled=args.scaled)
+        value = near_toeplitz_inverse_entry(cfg, args.i, args.j, scaled=args.scaled)
         inputs["scaled"] = args.scaled
     return _report(args, inputs, {"value": value})
 

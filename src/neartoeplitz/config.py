@@ -21,6 +21,9 @@ SINGULARITY_TOL = 1e-10
 _MAX_ORDER = 2**53
 #: Largest order of an n x n result: one float64 array at the cap takes 2 GiB.
 _MAX_DENSE_ORDER = 2**14
+#: Largest |b_tilde|: (2**53 * 2**400)**2 < 2**1024, so no generator product, determinant
+#: or bound term overflows at any admitted order.
+_MAX_CORNER = 2.0**400
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,8 @@ class MatrixConfig:
 
     n       : matrix order, 4..2**53; any integer type (``operator.index``)
     b       : Toeplitz diagonal after normalization, exactly +2 or -2
-    b_tilde : corner diagonal after normalization
+    b_tilde : corner diagonal after normalization, |b_tilde| <= 2**400 (beyond it the
+              closed forms overflow; NaN and infinities are refused too)
     c_hat   : nonzero scaling of the unnormalized matrix (default -1, i.e.
               the scaled and normalized matrices are identical)
     """
@@ -49,8 +53,8 @@ class MatrixConfig:
         object.__setattr__(self, "n", n)
         if self.b not in (2, -2):
             raise ValueError(f"diagonal b must be +2 or -2, got {self.b!r}")
-        if not math.isfinite(self.b_tilde):
-            raise ValueError(f"corner value must be finite, got {self.b_tilde!r}")
+        if not abs(self.b_tilde) <= _MAX_CORNER:
+            raise ValueError(f"corner value must lie in [-2**400, 2**400], got {self.b_tilde!r}")
         if self.c_hat == 0 or not math.isfinite(self.c_hat):
             raise ValueError(f"scaling c_hat must be finite and nonzero, got {self.c_hat!r}")
 

@@ -33,7 +33,6 @@ from neartoeplitz import (
     reference_inverse,
     rowsums,
     sign_pattern,
-    toeplitz_inverse_entry,
     trace_inverse,
     upper_bound,
 )
@@ -320,13 +319,18 @@ def test_criterion_10_property_suite():
         if err > 1e-12:
             problems.append(("centrosymmetry", n, b, bt, err))
 
-    # exact reduction to the Toeplitz entries
+    # exact reduction to the Toeplitz entries, min(i,j) (n+1-max(i,j)) / (n+1), negated for
+    # b = -2 when max - min + 1 is odd: an integer formula that shares no code with the library
     for n in (5, 10, 17):
         for b in (2, -2):
             cfg = MatrixConfig(n, b, float(b))
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    if near_toeplitz_inverse_entry(cfg, i, j) != toeplitz_inverse_entry(n, b, i, j):
+                    lo, hi = min(i, j), max(i, j)
+                    want = lo * (n + 1 - hi) / (n + 1)
+                    if b == -2 and (hi + 1 - lo) % 2 == 1:
+                        want = -want
+                    if near_toeplitz_inverse_entry(cfg, i, j) != want:
                         problems.append(("reduction", n, b, i, j))
 
     # dual-form determinant agreement, at the scale of the m11^2 terms

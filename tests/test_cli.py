@@ -197,6 +197,7 @@ class TestFormatsAndDeterminism:
 
 
 _MAT = ["--b", "2", "--btilde", "-3"]
+_TOEPLITZ = ["--n", "8", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--toeplitz"]
 #: One call of every subcommand that takes an order, without its --n.
 ORDER_CALLS = [
     ["entry", *_MAT, "--i", "1", "--j", "1"], ["entry", *_MAT, "--i", "1", "--j", "1", "--toeplitz"],
@@ -268,14 +269,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert strict_json(err)["error"]["type"] == "ValueError"
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_is_2(self, capsys, fmt):
-        """D overflows at btilde = 1e160 and the norm is NaN, which no report may print."""
+        """btilde = 1e160 is beyond the 2**400 corner bound, past which D overflows and the
+        norm would be NaN, which no report may print."""
         code, out, err = run_cli(capsys, "norm", "--n", "8", "--b", "2", "--btilde", "1e160",
                                  "--format", fmt)
         assert (code, out) == (2, "")
         assert strict_json(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-bvp", "--n", "8", "--b", "-2", "--btilde", "2.3e307", "--length", "1", "--k", "1",
+         "--nonlinearity", "fisher"],
+        ["norm", "--n", "8", "--b", "2", "--btilde", "1e160"],
+        ["bounds", "--n", "8", "--b", "2", "--btilde", "1e160"],
+        ["invert", "--n", "8", "--b", "2", "--btilde", "1e160"],
+        ["entry", *_TOEPLITZ, "--scaled", "--chat", "2.5"],
+        ["entry", *_TOEPLITZ, "--chat", "0"],
+        ["entry", "--n", "3", *_TOEPLITZ[2:]],
+    ], ids=" ".join)
+    def test_refused_options_are_2_with_one_error_line(self, argv):
+        """Corners beyond 2**400 and ``--toeplitz`` with options every other ``entry`` call
+        refuses.  A fresh interpreter shows warnings, so stderr must hold the error alone."""
+        proc = run_module(argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and strict_json(lines[0])["error"]["type"] == "ValueError"
 
     def test_unwritable_out_is_2(self, capsys, tmp_path):
         path = str(tmp_path / "missing" / "x.json")
@@ -350,12 +369,22 @@ SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
 NUMPY_LOADED = "print(any(m.split('.')[0] == 'numpy' for m in sys.modules))"
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that finds this checkout's package first."""
+def _run_fresh(*argv):
+    """Run the interpreter with ``argv`` so that it finds this checkout's package first."""
     src = str(Path(neartoeplitz.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+def run_module(argv):
+    """``python -m neartoeplitz *argv`` in a fresh interpreter, with the default warning filters."""
+    return _run_fresh("-m", "neartoeplitz", *argv)
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that finds this checkout's package first."""
+    proc = _run_fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -1,5 +1,6 @@
 """Entry formulas, derived parameters, singularity detection, assembly."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,9 @@ from neartoeplitz import (
     lower_bound,
     near_toeplitz_inverse_entry,
     reference_inverse,
+    rowsum,
     sign_pattern,
+    singularity_report,
     solve_fixed_point,
     toeplitz_inverse_entry,
     trace_inverse,
@@ -148,6 +151,25 @@ class TestMatrixConfig:
         with pytest.raises(ValueError):
             toeplitz_inverse_entry(2**53 + 1, 2, 1, 1)
         assert MatrixConfig(2**53, 2, 1.5).n == 2**53
+
+    @pytest.mark.parametrize("bt", [2.3e307, 1e160, math.nextafter(2.0**400, math.inf)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_corner_above_2_400_is_refused(self, bt, sign):
+        """Beyond |b_tilde| = 2**400 a generator product, D or a bound term can overflow."""
+        for b in (2, -2):
+            with pytest.raises(ValueError, match=r"2\*\*400"):
+                MatrixConfig(8, b, sign * bt)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_corner_at_2_400_has_finite_scalars(self, sign):
+        for n, b in ((8, 2), (8, -2), (2**53, 2), (2**53, -2)):
+            cfg = MatrixConfig(n, b, sign * 2.0**400)
+            ub = upper_bound(cfg)
+            values = [trace_inverse(cfg), lower_bound(cfg), ub.value, *ub.terms.values(),
+                      rowsum(cfg, 1), near_toeplitz_inverse_entry(cfg, n, 1),
+                      singularity_report(cfg)["delta"]]
+            assert all(math.isfinite(v) for v in values), (n, b, values)
+            assert lower_bound(cfg) <= ub.value
 
     def test_numpy_integer_order(self):
         cfg = MatrixConfig(np.int64(10), 2, 3.0)
