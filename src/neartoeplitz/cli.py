@@ -96,7 +96,7 @@ def cmd_entry(args) -> str:
     if args.toeplitz:
         if args.scaled:
             raise ValueError("--toeplitz gives an entry of the unscaled Toeplitz inverse; drop --scaled")
-        value = toeplitz_inverse_entry(cfg.n, cfg.b, args.i, args.j)
+        value = toeplitz_inverse_entry(args.n, args.b, args.i, args.j)
     else:
         value = near_toeplitz_inverse_entry(cfg, args.i, args.j, scaled=args.scaled)
         inputs["scaled"] = args.scaled

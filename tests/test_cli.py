@@ -286,7 +286,7 @@ class TestExitCodes:
         ["invert", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["entry", *_TOEPLITZ, "--scaled", "--chat", "2.5"],
         ["entry", *_TOEPLITZ, "--chat", "0"],
-        ["entry", "--n", "3", *_TOEPLITZ[2:]],
+        ["entry", "--n", "3", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--toeplitz"],
     ], ids=" ".join)
     def test_refused_options_are_2_with_one_error_line(self, argv):
         """Corners beyond 2**400 and ``--toeplitz`` with options every other ``entry`` call
