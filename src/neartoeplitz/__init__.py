@@ -35,7 +35,6 @@ from .core import (
     InverseMatrix,
     assemble_inverse,
     near_toeplitz_inverse_entry,
-    toeplitz_inverse_entry,
 )
 from .errors import (
     DenseSizeError,
@@ -87,7 +86,6 @@ __all__ = [
     "sign_pattern",
     "singularity_report",
     "solve_fixed_point",
-    "toeplitz_inverse_entry",
     "trace_inverse",
     "upper_bound",
 ]

@@ -33,7 +33,10 @@ class BvpProblem:
 
     nonlinearity 'fisher' means f(u) = k*u*(1-u); 'bratu' means f(u) = k*exp(u).
     cfg describes the tridiagonal operator including its corner value; bc_left
-    and bc_right are Dirichlet values entering the right-hand side.
+    and bc_right are Dirichlet values entering the right-hand side.  length, k_coef
+    and the boundary values must be finite, and h^2/|c_hat| must lie in
+    [2**-1022, inf), so that the solver's weight h^2/-c_hat and its inverse are
+    finite and nonzero; anything else raises ValueError.
     """
 
     n: int
@@ -49,6 +52,9 @@ class BvpProblem:
             raise ValueError(f"grid size {self.n} disagrees with operator order {self.cfg.n}")
         if not 0 < self.length < math.inf:
             raise ValueError(f"domain length must be positive and finite, got {self.length}")
+        # h*h cannot raise where h**2 can; the bound keeps h^2/|c_hat| and its inverse finite.
+        if not 2.0**-1022 <= self.h * self.h / abs(self.cfg.c_hat) < math.inf:
+            raise ValueError(f"h^2/|c_hat| must be finite and >= 2**-1022, got h = {self.h!r}")
         for name in ("k_coef", "bc_left", "bc_right"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -58,9 +64,6 @@ class BvpProblem:
     @property
     def h(self) -> float:
         return self.length / self.n
-
-    def f(self, u: np.ndarray) -> np.ndarray:
-        return self._f_into(u, np.empty(np.shape(u)))
 
     def _f_into(self, u: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None):
         """f(u) written into ``out`` (not ``u``), as (k u)(1 - u) or exp(u) k."""
@@ -142,30 +145,30 @@ def solve_fixed_point(
         raise ValueError(f"initial iterate must be {prob.n} finite values, got shape {u.shape}")
 
     h2 = prob.h**2
-    # The scaled operator -c_hat * A couples the boundary nodes through its
-    # off-diagonal c_hat; moved to the right-hand side they give -c_hat * bc,
-    # so g = A^{-1} bc.  The solver carries h^2 / -c_hat, undone on its input.
-    solve = _inverse_solver(prob.cfg, scale=h2 / -prob.cfg.c_hat)
-    g = np.zeros(prob.n)
-    g[0], g[-1] = prob.bc_left, prob.bc_right
-    g *= -prob.cfg.c_hat / h2
-    solve(g, out=g)
+    # An overflow in the weights, in g or in f(u) turns entries of the next
+    # iterate into inf or nan; the non-finite step reports it, so numpy stays quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The scaled operator -c_hat * A couples the boundary nodes through its
+        # off-diagonal c_hat; moved to the right-hand side they give -c_hat * bc,
+        # so g = A^{-1} bc.  The solver carries h^2 / -c_hat, undone on its input.
+        solve = _inverse_solver(prob.cfg, scale=h2 / -prob.cfg.c_hat)
+        g = np.zeros(prob.n)
+        g[0], g[-1] = prob.bc_left, prob.bc_right
+        g *= -prob.cfg.c_hat / h2
+        solve(g, out=g)
 
-    exp_rate = expected_rate(prob)
-    steps: list[float] = []
-    growth_streak = 0
-    u_next = np.empty(prob.n)
-    diff = np.empty(prob.n)
+        exp_rate = expected_rate(prob)
+        steps: list[float] = []
+        growth_streak = 0
+        u_next = np.empty(prob.n)
+        diff = np.empty(prob.n)
 
-    def result(converged: bool = False) -> BvpResult:
-        # Every step but the last is above tol > 0, so each ratio is defined.
-        rate = max((b / a for a, b in zip(steps, steps[1:])), default=0.0)
-        return BvpResult(solution=u, iterations=len(steps), observed_rate=rate,
-                         expected_rate=exp_rate, converged=converged, steps=steps)
+        def result(converged: bool = False) -> BvpResult:
+            # Every step but the last is above tol > 0, so each ratio is defined.
+            rate = max((b / a for a, b in zip(steps, steps[1:])), default=0.0)
+            return BvpResult(solution=u, iterations=len(steps), observed_rate=rate,
+                             expected_rate=exp_rate, converged=converged, steps=steps)
 
-    # An overflowed f(u) turns every entry of the next iterate into inf or
-    # nan; the non-finite step reports it, so the prefix sums may stay quiet.
-    with np.errstate(invalid="ignore"):
         for _ in range(max_iter):
             solve(prob._f_into(u, u_next, scratch=diff), out=u_next)
             u_next += g

@@ -21,7 +21,7 @@ from .analysis import (
     upper_bound,
 )
 from .config import SINGULARITY_TOL, MatrixConfig, singularity_report
-from .core import assemble_inverse, near_toeplitz_inverse_entry, toeplitz_inverse_entry
+from .core import assemble_inverse, near_toeplitz_inverse_entry
 from .errors import DivergenceError, SingularMatrixError
 
 EXIT_OK = 0
@@ -96,7 +96,8 @@ def cmd_entry(args) -> str:
     if args.toeplitz:
         if args.scaled:
             raise ValueError("--toeplitz gives an entry of the unscaled Toeplitz inverse; drop --scaled")
-        value = toeplitz_inverse_entry(args.n, args.b, args.i, args.j)
+        toeplitz = MatrixConfig(args.n, args.b, args.b, args.chat)
+        value = near_toeplitz_inverse_entry(toeplitz, args.i, args.j)
     else:
         value = near_toeplitz_inverse_entry(cfg, args.i, args.j, scaled=args.scaled)
         inputs["scaled"] = args.scaled

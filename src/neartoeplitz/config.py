@@ -9,7 +9,6 @@ coincide.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -24,6 +23,9 @@ _MAX_DENSE_ORDER = 2**14
 #: Largest |b_tilde|: (2**53 * 2**400)**2 < 2**1024, so no generator product, determinant
 #: or bound term overflows at any admitted order.
 _MAX_CORNER = 2.0**400
+#: Largest |c_hat| and 1/|c_hat|: outside the singular neighborhoods an entry stays far
+#: below 2**100 at any admitted order, so dividing it by c_hat stays finite and nonzero.
+_MAX_SCALE = 2.0**400
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,9 @@ class MatrixConfig:
     b       : Toeplitz diagonal after normalization, exactly +2 or -2
     b_tilde : corner diagonal after normalization, |b_tilde| <= 2**400 (beyond it the
               closed forms overflow; NaN and infinities are refused too)
-    c_hat   : nonzero scaling of the unnormalized matrix (default -1, i.e.
-              the scaled and normalized matrices are identical)
+    c_hat   : scaling of the unnormalized matrix, 2**-400 <= |c_hat| <= 2**400 (default -1,
+              i.e. the scaled and normalized matrices are identical; NaN, infinities
+              and 0 are refused)
     """
 
     n: int
@@ -55,8 +58,8 @@ class MatrixConfig:
             raise ValueError(f"diagonal b must be +2 or -2, got {self.b!r}")
         if not abs(self.b_tilde) <= _MAX_CORNER:
             raise ValueError(f"corner value must lie in [-2**400, 2**400], got {self.b_tilde!r}")
-        if self.c_hat == 0 or not math.isfinite(self.c_hat):
-            raise ValueError(f"scaling c_hat must be finite and nonzero, got {self.c_hat!r}")
+        if not 1 / _MAX_SCALE <= abs(self.c_hat) <= _MAX_SCALE:
+            raise ValueError(f"scaling |c_hat| must lie in [2**-400, 2**400], got {self.c_hat!r}")
 
     def singular_points(self) -> tuple[float, float]:
         """The two corner values at which the matrix is singular, sgn(b) (1, (n-3)/(n-1))."""

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .config import _MAX_ORDER, MatrixConfig, _plus_frame, require_dense_order, require_nonsingular
+from .config import MatrixConfig, _plus_frame, require_dense_order, require_nonsingular
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,11 +31,6 @@ class InverseMatrix:
     source: str
 
 
-def _check_index(n: int, i: int, j: int) -> None:
-    if not (1 <= operator.index(i) <= n and 1 <= operator.index(j) <= n):
-        raise IndexError(f"indices must lie in 1..{n}, got (i={i}, j={j})")
-
-
 def _generators(n: int, r: float, j, i):
     """(u_j, v_i, D) at corner ratio r, for scalar or array indices j and i."""
     return j * (1.0 + r) - r, (n - i) * (1.0 + r) + 1.0, (1.0 + r) * (n + 1 + r * (n - 1))
@@ -46,36 +41,10 @@ def _parity(i):
     return 1.0 - 2.0 * (i & 1)
 
 
-def _entry(n: int, bt: float, flip: bool, i: int, j: int) -> float:
-    """s_ij u_min(i,j) v_max(i,j) / D in the frame (bt, flip); bt = 2 is the Toeplitz inverse."""
-    if i < j:
-        i, j = j, i
-    u, v, d = _generators(n, bt - 2.0, j, i)
-    value = u * v / d
-    if flip and (i + 1 - j) % 2 == 1:
-        value = -value
-    return value
-
-
-def toeplitz_inverse_entry(n: int, b: int, i: int, j: int) -> float:
-    """Entry (i, j) of the inverse of tridiag(-1, b, -1), |b| = 2.
-
-    For i >= j the value is (2/b)^(i+1-j) * j*(n+1-i)/(n+1); the (2/b) power
-    is a parity sign for b = -2 and is computed as such.  Any (i, j) order is
-    accepted; symmetry swaps internally.
-    """
-    if not 1 <= operator.index(n) <= _MAX_ORDER:
-        raise ValueError(f"order must be an integer in 1..2**53, got {n}")
-    if b not in (2, -2):
-        raise ValueError(f"diagonal b must be +2 or -2, got {b!r}")
-    _check_index(n, i, j)
-    return _entry(n, 2.0, b < 0, i, j)
-
-
 def near_toeplitz_inverse_entry(
     cfg: MatrixConfig, i: int, j: int, scaled: bool = False
 ) -> float:
-    """Entry (i, j) of the inverse of the corner-perturbed matrix.
+    """Entry (i, j) of the inverse of the corner-perturbed matrix; b_tilde = b is Toeplitz.
 
     With r = sgn(b)*b_tilde - 2 = 2*(b_tilde - b)/b, the lower-triangle entry is
 
@@ -89,8 +58,15 @@ def near_toeplitz_inverse_entry(
     indices outside 1..n.
     """
     require_nonsingular(cfg)
-    _check_index(cfg.n, i, j)
-    value = _entry(cfg.n, *_plus_frame(cfg), i, j)
+    if not (1 <= operator.index(i) <= cfg.n and 1 <= operator.index(j) <= cfg.n):
+        raise IndexError(f"indices must lie in 1..{cfg.n}, got (i={i}, j={j})")
+    if i < j:
+        i, j = j, i
+    bt, flip = _plus_frame(cfg)
+    u, v, d = _generators(cfg.n, bt - 2.0, j, i)
+    value = u * v / d
+    if flip and (i + 1 - j) % 2 == 1:
+        value = -value
     if scaled:
         value /= -cfg.c_hat
     return value

@@ -26,10 +26,10 @@ class DenseMatrix:
     data: np.ndarray
 
 
-def build_matrix(cfg: MatrixConfig, scaled: bool = False) -> DenseMatrix:
-    """Place b on the diagonal, -1 off it, b_tilde at both corners.
+def build_matrix(cfg: MatrixConfig) -> DenseMatrix:
+    """Place b on the diagonal, -1 off it, b_tilde at both corners; n > 2**14 raises DenseSizeError.
 
-    ``scaled=True`` multiplies everything by -c_hat; orders above 2**14 raise DenseSizeError.
+    The scaled matrix of the same config is ``-cfg.c_hat * build_matrix(cfg).data``.
     """
     n = cfg.n
     require_dense_order(n)
@@ -40,8 +40,6 @@ def build_matrix(cfg: MatrixConfig, scaled: bool = False) -> DenseMatrix:
     data[idx + 1, idx] = -1.0
     data[0, 0] = cfg.b_tilde
     data[n - 1, n - 1] = cfg.b_tilde
-    if scaled:
-        data = data * (-cfg.c_hat)
     return DenseMatrix(data=data)
 
 

@@ -174,6 +174,13 @@ def allocating_inverse_solver(cfg, scale):
     return solve
 
 
+def nonlinearity(prob, u):
+    """f(u) = k u (1 - u) or k exp(u) as a new array, the same bits as the solver's in-place f."""
+    if prob.nonlinearity == "fisher":
+        return prob.k_coef * u * (1.0 - u)
+    return prob.k_coef * np.exp(u)
+
+
 def allocating_fixed_point(prob, u0=None, tol=1e-10, max_iter=10_000):
     """``bvp.solve_fixed_point`` as it was before it reused its n-vectors.
 
@@ -192,11 +199,6 @@ def allocating_fixed_point(prob, u0=None, tol=1e-10, max_iter=10_000):
         u = 0.5 * u / np.abs(u).max()
     else:
         u = np.array(u0, dtype=float)
-
-    def f(u):
-        if prob.nonlinearity == "fisher":
-            return prob.k_coef * u * (1.0 - u)
-        return prob.k_coef * np.exp(u)
 
     h2 = prob.h**2
     solve = allocating_inverse_solver(prob.cfg, scale=h2 / -prob.cfg.c_hat)
@@ -217,7 +219,7 @@ def allocating_fixed_point(prob, u0=None, tol=1e-10, max_iter=10_000):
 
     with np.errstate(invalid="ignore"):
         for _ in range(max_iter):
-            solve(f(u), out=u_next)
+            solve(nonlinearity(prob, u), out=u_next)
             u_next += g
             np.subtract(u_next, u, out=diff)
             step = float(np.abs(diff, out=diff).max())

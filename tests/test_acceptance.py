@@ -51,6 +51,7 @@ from helpers import (
     closed_form_entries,
     derived_params,
     fit_printed_corner,
+    nonlinearity,
     oracle_entries,
 )
 
@@ -348,7 +349,7 @@ def test_criterion_10_property_suite():
         prob = BvpProblem(n=n, length=1.0, k_coef=2.0, nonlinearity="fisher", cfg=cfg)
         u0 = _initial_iterate(prob)
         stepped = solve_fixed_point(prob, u0=u0, tol=np.inf).solution
-        explicit = assemble_inverse(cfg, scaled=True).entries @ (prob.h**2 * prob.f(u0))
+        explicit = assemble_inverse(cfg, scaled=True).entries @ (prob.h**2 * nonlinearity(prob, u0))
         if np.max(np.abs(stepped - explicit)) > 1e-10:
             problems.append(("solver-path", n, b, bt))
 

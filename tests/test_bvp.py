@@ -20,7 +20,7 @@ from neartoeplitz import (
 from neartoeplitz.bvp import _initial_iterate
 from neartoeplitz.tables import REPRODUCTION_TOL
 
-from helpers import allocating_fixed_point, banded_lu_solve, bitwise_equal
+from helpers import allocating_fixed_point, banded_lu_solve, bitwise_equal, nonlinearity
 
 
 def fisher_problem(n, b, bt, length, k):
@@ -125,7 +125,7 @@ class TestSolveFixedPoint:
             rhs_bc = np.zeros(n)
             rhs_bc[0] = -cfg.c_hat * prob.bc_left
             rhs_bc[-1] = -cfg.c_hat * prob.bc_right
-            explicit = inv @ (prob.h**2 * prob.f(u0) + rhs_bc)
+            explicit = inv @ (prob.h**2 * nonlinearity(prob, u0) + rhs_bc)
             assert np.max(np.abs(one_step.solution - explicit)) <= 1e-10
 
     def test_boundary_values_enter_rhs(self):
@@ -147,7 +147,7 @@ class TestSolveFixedPoint:
         assert err.value.partial.converged is False
         assert err.value.partial.iterations > 0
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_overflow_reports_divergence(self):
         prob = BvpProblem(n=10, length=1.0, k_coef=80.0, nonlinearity="bratu",
                           cfg=MatrixConfig(10, 2, 2.0))
@@ -237,7 +237,7 @@ class TestSolveFixedPoint:
         kappa = (max(abs(b), abs(bt)) + 2.0) * upper_bound(cfg).value
         tol = 2 * 64 * np.finfo(float).eps * kappa * max(0.5, np.abs(res.solution).max())
         for step in res.steps:
-            u_next = banded_lu_solve(cfg, prob.h**2 * prob.f(u) + rhs_bc)
+            u_next = banded_lu_solve(cfg, prob.h**2 * nonlinearity(prob, u) + rhs_bc)
             assert abs(np.abs(u_next - u).max() - step) <= 2 * tol
             u = u_next
         assert np.abs(res.solution - u).max() <= tol

@@ -198,6 +198,9 @@ class TestFormatsAndDeterminism:
 
 _MAT = ["--b", "2", "--btilde", "-3"]
 _TOEPLITZ = ["--n", "8", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--toeplitz"]
+#: A Fisher solve at n = 50; argparse lets a later flag override an earlier one.
+_BVP = ["solve-bvp", "--n", "50", "--b", "2", "--btilde", "2", "--length", "1", "--k", "1",
+        "--nonlinearity", "fisher"]
 #: One call of every subcommand that takes an order, without its --n.
 ORDER_CALLS = [
     ["entry", *_MAT, "--i", "1", "--j", "1"], ["entry", *_MAT, "--i", "1", "--j", "1", "--toeplitz"],
@@ -250,7 +253,7 @@ class TestExitCodes:
                              "--i", "9", "--j", "1")
         assert code == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_is_4(self, capsys):
         code, _, err = run_cli(
             capsys, "solve-bvp", "--n", "10", "--b", "2", "--btilde", "2",
@@ -287,14 +290,35 @@ class TestExitCodes:
         ["entry", *_TOEPLITZ, "--scaled", "--chat", "2.5"],
         ["entry", *_TOEPLITZ, "--chat", "0"],
         ["entry", "--n", "3", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--toeplitz"],
+        ["invert", "--n", "8", "--b", "2", "--btilde", "3", "--scaled", "--chat", "1e-310"],
+        [*_BVP, "--chat", "1e-320"],
+        [*_BVP, "--length", "1e-300"],
+        [*_BVP, "--length", "1e-170", "--bc-left", "0.5"],
+        [*_BVP, "--length", "1e300", "--nonlinearity", "bratu"],
     ], ids=" ".join)
     def test_refused_options_are_2_with_one_error_line(self, argv):
-        """Corners beyond 2**400 and ``--toeplitz`` with options every other ``entry`` call
-        refuses.  A fresh interpreter shows warnings, so stderr must hold the error alone."""
+        """Corners beyond 2**400, |c_hat| outside [2**-400, 2**400], h^2/|c_hat| outside the
+        float range and ``--toeplitz`` with options every other ``entry`` call refuses.  A
+        fresh interpreter shows warnings, so stderr must hold the error alone."""
         proc = run_module(argv)
         assert (proc.returncode, proc.stdout) == (2, "")
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and strict_json(lines[0])["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        [*_BVP, "--bc-left", "1e308"],
+        [*_BVP, "--k", "1e308"],
+        [*_BVP, "--k", "1e308", "--nonlinearity", "bratu"],
+        [*_BVP, "--b", "-2", "--btilde", "-3", "--length", "1e150"],
+        [*_BVP, "--n", "4", "--length", "4e154"],
+    ], ids=" ".join)
+    def test_overflowing_solves_are_4_with_one_error_line(self, argv):
+        """An overflow in g, in f(u) or in the solver's weights is reported by the non-finite
+        step alone: numpy writes no warning before the error object."""
+        proc = run_module(argv)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and strict_json(lines[0])["error"]["message"] == "iterate overflowed"
 
     def test_unwritable_out_is_2(self, capsys, tmp_path):
         path = str(tmp_path / "missing" / "x.json")
@@ -314,7 +338,7 @@ class TestExitCodes:
         assert strict_json(err)["error"] == {"type": "MemoryError",
                                              "message": "Unable to allocate 80000000000 bytes"}
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_partial_is_valid_json(self, capsys):
         """The expected rate overflows to inf; the partial state keeps only its finite fields."""
         code, out, err = run_cli(

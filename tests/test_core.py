@@ -24,7 +24,6 @@ from neartoeplitz import (
     sign_pattern,
     singularity_report,
     solve_fixed_point,
-    toeplitz_inverse_entry,
     trace_inverse,
     upper_bound,
 )
@@ -50,6 +49,11 @@ def tridiag(n, b):
     return np.diag(np.full(n, float(b))) + np.diag(np.full(n - 1, -1.0), 1) + np.diag(np.full(n - 1, -1.0), -1)
 
 
+def toeplitz_entry(n, b, i, j):
+    """Entry (i, j) of the inverse of tridiag(-1, b, -1): the corner equal to the diagonal."""
+    return near_toeplitz_inverse_entry(MatrixConfig(n, b, b), i, j)
+
+
 def nonsingular_btilde(n, b):
     sign = 1.0 if b > 0 else -1.0
     return st.floats(-8, 8).filter(
@@ -58,33 +62,33 @@ def nonsingular_btilde(n, b):
 
 
 class TestToeplitzEntry:
-    def test_top_left_3x3(self):
-        # dense elimination oracle for the 3x3 case gives 3/4 at (1, 1)
-        inv = reference_inverse(tridiag(3, 2))
-        assert inv.entries[0, 0] == pytest.approx(0.75, abs=1e-14)
-        assert toeplitz_inverse_entry(3, 2, 1, 1) == pytest.approx(0.75, abs=1e-14)
+    def test_top_left_4x4(self):
+        # dense elimination oracle for the 4x4 case gives 4/5 at (1, 1)
+        inv = reference_inverse(tridiag(4, 2))
+        assert inv.entries[0, 0] == pytest.approx(0.8, abs=1e-14)
+        assert toeplitz_entry(4, 2, 1, 1) == pytest.approx(0.8, abs=1e-14)
 
-    def test_negative_b_3x3(self):
-        inv = reference_inverse(tridiag(3, -2))
-        assert toeplitz_inverse_entry(3, -2, 2, 1) == pytest.approx(inv.entries[1, 0], abs=1e-14)
-        assert toeplitz_inverse_entry(3, -2, 2, 1) == pytest.approx(0.5, abs=1e-14)
+    def test_negative_b_4x4(self):
+        inv = reference_inverse(tridiag(4, -2))
+        assert toeplitz_entry(4, -2, 2, 1) == pytest.approx(inv.entries[1, 0], abs=1e-14)
+        assert toeplitz_entry(4, -2, 2, 1) == pytest.approx(0.6, abs=1e-14)
 
     def test_corner_entry(self):
-        assert toeplitz_inverse_entry(5, 2, 5, 1) == pytest.approx(1 / 6, rel=1e-15)
+        assert toeplitz_entry(5, 2, 5, 1) == pytest.approx(1 / 6, rel=1e-15)
 
     def test_symmetry_swap(self):
-        assert toeplitz_inverse_entry(7, 2, 2, 5) == toeplitz_inverse_entry(7, 2, 5, 2)
-        assert toeplitz_inverse_entry(7, -2, 2, 5) == toeplitz_inverse_entry(7, -2, 5, 2)
+        assert toeplitz_entry(7, 2, 2, 5) == toeplitz_entry(7, 2, 5, 2)
+        assert toeplitz_entry(7, -2, 2, 5) == toeplitz_entry(7, -2, 5, 2)
 
     def test_parity_against_positive_b(self):
         for i in range(1, 7):
             for j in range(1, 7):
-                plus = toeplitz_inverse_entry(6, 2, i, j)
-                minus = toeplitz_inverse_entry(6, -2, i, j)
+                plus = toeplitz_entry(6, 2, i, j)
+                minus = toeplitz_entry(6, -2, i, j)
                 assert minus == pytest.approx((-1.0) ** (abs(i - j) + 1) * plus, rel=1e-15)
 
     def test_exact_integer_formula(self):
-        for n in range(1, 41):
+        for n in range(4, 41):
             for b in (2, -2):
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
@@ -92,19 +96,19 @@ class TestToeplitzEntry:
                         want = lo * (n + 1 - hi) / (n + 1)
                         if b == -2 and (hi + 1 - lo) % 2 == 1:
                             want = -want
-                        assert toeplitz_inverse_entry(n, b, i, j) == want
+                        assert toeplitz_entry(n, b, i, j) == want
 
     def test_all_positive_for_b2(self):
-        vals = [toeplitz_inverse_entry(8, 2, i, j) for i in range(1, 9) for j in range(1, 9)]
+        vals = [toeplitz_entry(8, 2, i, j) for i in range(1, 9) for j in range(1, 9)]
         assert min(vals) > 0
 
     def test_index_errors(self):
         with pytest.raises(IndexError):
-            toeplitz_inverse_entry(5, 2, 0, 1)
+            toeplitz_entry(5, 2, 0, 1)
         with pytest.raises(IndexError):
-            toeplitz_inverse_entry(5, 2, 1, 6)
+            toeplitz_entry(5, 2, 1, 6)
         with pytest.raises(ValueError):
-            toeplitz_inverse_entry(5, 3, 1, 1)
+            toeplitz_entry(5, 3, 1, 1)
 
 
 def _fisher_run(max_iter):
@@ -117,7 +121,7 @@ def _fisher_run(max_iter):
 #: Integer arguments, each as a function of the argument under test.
 INTEGER_ARGUMENTS = {
     "entry_index": lambda k: near_toeplitz_inverse_entry(MatrixConfig(6, -2, 0.3), k, 1),
-    "toeplitz_order": lambda k: toeplitz_inverse_entry(k, 2, 1, 1),
+    "toeplitz_order": lambda k: toeplitz_entry(6, 2, 1, k),
     "max_iter": _fisher_run,
 }
 
@@ -148,8 +152,6 @@ class TestMatrixConfig:
             MatrixConfig(10.0, 2, 1.5)
         with pytest.raises(ValueError):
             MatrixConfig(2**53 + 1, 2, 1.5)
-        with pytest.raises(ValueError):
-            toeplitz_inverse_entry(2**53 + 1, 2, 1, 1)
         assert MatrixConfig(2**53, 2, 1.5).n == 2**53
 
     @pytest.mark.parametrize("bt", [2.3e307, 1e160, math.nextafter(2.0**400, math.inf)])
@@ -170,6 +172,18 @@ class TestMatrixConfig:
                       singularity_report(cfg)["delta"]]
             assert all(math.isfinite(v) for v in values), (n, b, values)
             assert lower_bound(cfg) <= ub.value
+
+    @pytest.mark.parametrize("edge", [2.0**-400, 2.0**400])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_chat_range_ends_at_2_400(self, edge, sign):
+        """2**-400 <= |c_hat| <= 2**400 keeps an entry divided by c_hat finite and nonzero."""
+        cfg = MatrixConfig(2**53, 2, 1 + 2e-10, c_hat=sign * edge)
+        assert math.isfinite(near_toeplitz_inverse_entry(cfg, 2**52, 2**52, scaled=True))
+        assert near_toeplitz_inverse_entry(MatrixConfig(8, 2, 0.0, sign * edge), 8, 1, scaled=True)
+        beyond = math.nextafter(edge, 0.0 if edge < 1 else math.inf)
+        for c_hat in (beyond, -beyond, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"c_hat"):
+                MatrixConfig(8, 2, 3.0, c_hat=c_hat)
 
     def test_numpy_integer_order(self):
         cfg = MatrixConfig(np.int64(10), 2, 3.0)
@@ -248,8 +262,7 @@ class TestSingularity:
 class TestNearToeplitzEntry:
     def test_reduces_to_toeplitz(self):
         cfg = MatrixConfig(5, 2, 2.0)
-        assert near_toeplitz_inverse_entry(cfg, 3, 2) == pytest.approx(1.0, rel=1e-15)
-        assert near_toeplitz_inverse_entry(cfg, 3, 2) == toeplitz_inverse_entry(5, 2, 3, 2)
+        assert near_toeplitz_inverse_entry(cfg, 3, 2) == 1.0
 
     def test_first_row_sign_for_negative_corner(self):
         assert near_toeplitz_inverse_entry(MatrixConfig(5, 2, -1.0), 1, 1) < 0
@@ -343,7 +356,7 @@ def test_reduction_to_toeplitz_is_exact(n, b, data):
     i = data.draw(st.integers(1, n))
     j = data.draw(st.integers(1, n))
     cfg = MatrixConfig(n, b, float(b))
-    assert near_toeplitz_inverse_entry(cfg, i, j) == toeplitz_inverse_entry(n, b, i, j)
+    assert near_toeplitz_inverse_entry(cfg, i, j) == toeplitz_entry(n, b, i, j)
 
 
 class TestAssembleInverse:
@@ -392,7 +405,7 @@ class TestAssembleInverse:
         plain = assemble_inverse(cfg).entries
         scaled = assemble_inverse(cfg, scaled=True).entries
         assert np.allclose(scaled, plain / 2.0, rtol=1e-15)
-        residual = build_matrix(cfg, scaled=True).data @ scaled - np.eye(5)
+        residual = (build_matrix(cfg).data * -cfg.c_hat) @ scaled - np.eye(5)
         assert np.max(np.abs(residual)) <= 1e-9
 
     def test_singular_rejection(self):
@@ -529,7 +542,7 @@ class TestInverseSolver:
     def test_against_oracle(self, n):
         # Both are backward stable, so they agree to 2 * 64 eps * kappa.
         for cfg, rhs in solver_cases(n):
-            dense = build_matrix(cfg, scaled=True).data
+            dense = build_matrix(cfg).data * -cfg.c_hat
             inv = reference_inverse(dense).entries
             kappa = np.abs(dense).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
             solve = _inverse_solver(cfg, scale=1.0 / -cfg.c_hat)

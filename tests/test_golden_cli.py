@@ -1,10 +1,9 @@
 """Golden CLI output: stdout, stderr and exit code of a fixed set of calls.
 
 Every subcommand runs in-process through ``cli.main`` and must reproduce the
-recorded bytes exactly, with and without ``python -O``.  Warnings (the
-diverging Bratu run overflows ``exp``) are silenced, so stderr holds only what
-the CLI itself writes.  Regenerate the data only when an output change is
-intended:
+recorded bytes exactly, with and without ``python -O``.  Warnings are turned
+into errors, so no call may warn and stderr holds only what the CLI itself
+writes.  Regenerate the data only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -75,7 +74,7 @@ def run_calls(calls: list[list[str]]) -> list[dict]:
     for argv in calls:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             code = main(list(argv))
         results.append({"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
     return results

@@ -6,6 +6,7 @@ import pytest
 from neartoeplitz import (
     MatrixConfig,
     PivotBreakdownError,
+    assemble_inverse,
     build_matrix,
     reference_inverse,
     reference_norm,
@@ -21,6 +22,12 @@ def tridiag(n, b):
     return m
 
 
+def assert_scaled_inverse(cfg):
+    """-c_hat * build_matrix(cfg) times the scaled closed-form inverse is the identity."""
+    product = -cfg.c_hat * build_matrix(cfg).data @ assemble_inverse(cfg, scaled=True).entries
+    assert np.max(np.abs(product - np.eye(cfg.n))) <= 1e-12
+
+
 class TestBuildMatrix:
     def test_toeplitz_corner(self):
         m = build_matrix(MatrixConfig(4, 2, 2.0))
@@ -28,7 +35,9 @@ class TestBuildMatrix:
 
     def test_default_scaling_is_identity(self):
         cfg = MatrixConfig(4, 2, 7.0, c_hat=-1.0)
-        assert np.array_equal(build_matrix(cfg).data, build_matrix(cfg, scaled=True).data)
+        assert_scaled_inverse(cfg)
+        scaled = assemble_inverse(cfg, scaled=True).entries
+        assert np.array_equal(scaled, assemble_inverse(cfg).entries)
 
     def test_corner_placement(self):
         m = build_matrix(MatrixConfig(4, -2, 0.5))
@@ -37,8 +46,7 @@ class TestBuildMatrix:
         assert m.data[0, 2] == 0.0
 
     def test_scaled_multiplies_by_minus_chat(self):
-        cfg = MatrixConfig(4, 2, 3.0, c_hat=2.5)
-        assert np.allclose(build_matrix(cfg, scaled=True).data, -2.5 * build_matrix(cfg).data)
+        assert_scaled_inverse(MatrixConfig(4, 2, 3.0, c_hat=2.5))
 
 
 class TestReferenceInverse:
@@ -115,7 +123,7 @@ class TestInPlaceElimination:
             for b in (2, -2):
                 for bt in regime_corners(n, b):
                     assert_same_outcome(build_matrix(MatrixConfig(n, b, bt)).data)
-                    assert_same_outcome(build_matrix(MatrixConfig(n, b, bt, 2.5), scaled=True).data)
+                    assert_same_outcome(build_matrix(MatrixConfig(n, b, bt)).data * -2.5)
 
     def test_same_breakdown_at_both_singular_corners(self):
         for n in (4, 5, 6, 9, 16, 31, 60):
