@@ -32,8 +32,8 @@ class InverseMatrix:
 
 
 def _generators(n: int, r: float, j, i):
-    """(u_j, v_i, D) at corner ratio r, for scalar or array indices j and i."""
-    return j * (1.0 + r) - r, (n - i) * (1.0 + r) + 1.0, (1.0 + r) * (n + 1 + r * (n - 1))
+    """(u_j, u_{n+1-i}, D) at corner ratio r, for scalar or array indices; v_i is u_{n+1-i}."""
+    return j * (1.0 + r) - r, (n + 1 - i) * (1.0 + r) - r, (1.0 + r) * (n + 1 + r * (n - 1))
 
 
 def _parity(i):
@@ -48,7 +48,7 @@ def near_toeplitz_inverse_entry(
 
     With r = sgn(b)*b_tilde - 2 = 2*(b_tilde - b)/b, the lower-triangle entry is
 
-        (2/b)^(i+1-j) * (j*(1+r) - r) * ((n-i)*(1+r) + 1)
+        (2/b)^(i+1-j) * (j*(1+r) - r) * ((n+1-i)*(1+r) - r)
                       / ((1+r) * (n+1 + r*(n-1))).
 
     ``scaled=True`` returns the entry of the inverse of the -c_hat multiple
@@ -73,12 +73,12 @@ def near_toeplitz_inverse_entry(
 
 
 def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = False):
-    """Yield s_ij u_min(i,j) v_max(i,j) / D in bands of _BAND rows, into ``out`` or one buffer.
+    """Yield s_ij u_min(i,j) v_max(i,j) / D for the top ceil(n/2) rows, in bands of _BAND rows.
 
-    For b = -2 the parity (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v;
-    ``absolute`` uses |u|, |v| and |D|, exact as IEEE rounding is sign-symmetric.
-    Bands are divided by D in cache, with no -0.0, and each diagonal block
-    mirrors its lower part, so the grid is exactly symmetric.
+    Bands go into ``out`` or one buffer; row n+1-i is row i reversed, bit for bit.  For
+    b = -2 the parity (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v; ``absolute``
+    uses |u|, |v| and |D|, exact as IEEE rounding is sign-symmetric.  Bands are divided
+    by D in cache, with no -0.0, and each diagonal block mirrors its lower part.
     """
     import numpy as np
 
@@ -94,8 +94,9 @@ def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = Fa
         v *= -sigma
     buf = np.empty((_BAND, n)) if out is None else None
     upper = ~np.tri(_BAND, dtype=bool)
-    for s in range(0, n, _BAND):
-        e = min(s + _BAND, n)
+    h = (n + 1) // 2
+    for s in range(0, h, _BAND):
+        e = min(s + _BAND, h)
         band = out[s:e] if buf is None else buf[: e - s]
         np.einsum("i,j->ij", v[s:e], u[:e], out=band[:, :e])
         np.einsum("i,j->ij", u[s:e], v[e:], out=band[:, e:])
@@ -171,17 +172,19 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
 
 
 def assemble_inverse(cfg: MatrixConfig, scaled: bool = False) -> InverseMatrix:
-    """Materialize the full inverse: all n x n closed-form entries drained from ``_bands``.
+    """Materialize the full inverse: the top ceil(n/2) rows from ``_bands``, the rest reversed.
 
-    Exactly symmetric with no -0.0, centrosymmetric to rounding; n > 2**14 raises DenseSizeError.
+    Exactly symmetric and centrosymmetric with no -0.0; n > 2**14 raises DenseSizeError.
     """
     import numpy as np
 
     require_nonsingular(cfg)
     require_dense_order(cfg.n)
-    entries = np.empty((cfg.n, cfg.n))
+    n, h = cfg.n, (cfg.n + 1) // 2
+    entries = np.empty((n, n))
     for _ in _bands(cfg, entries):
         pass
     if scaled:
-        entries /= -cfg.c_hat
+        entries[:h] /= -cfg.c_hat
+    entries[h:] = entries[: n - h][::-1, ::-1]
     return InverseMatrix(entries=entries, source=CLOSED_FORM)

@@ -291,7 +291,8 @@ def index_grid(cfg):
     """The closed-form grid evaluated on broadcast min/max index arrays.
 
     This is how ``core.assemble_inverse`` computed the grid before it was
-    built from the two generators; kept as its bitwise reference.
+    built from the two generators; kept as its bitwise reference.  v_max(i,j)
+    is the u expression at n + 1 - max(i,j), as in ``core._generators``.
     """
     n = cfg.n
     beta = cfg.b_tilde - cfg.b
@@ -302,7 +303,7 @@ def index_grid(cfg):
     hi = np.maximum(i, j)
     vals = (
         (lo * (1.0 + r) - r)
-        * ((n - hi) * (1.0 + r) + 1.0)
+        * ((n + 1 - hi) * (1.0 + r) - r)
         / ((1.0 + r) * (n + 1 + r * (n - 1)))
     )
     if cfg.b == -2:

@@ -214,9 +214,19 @@ class TestBandedNorm:
                 cfg = MatrixConfig(n, b, bt)
                 assert exact_infinity_norm(cfg) == grid_norm(cfg), (b, bt)
                 if n <= 257:
-                    # |u| |v| / |D| rounds as u v / D does, up to sign: every entry, not only sums.
+                    # |u| |v| / |D| rounds as u v / D does, up to sign: every entry of
+                    # the top ceil(n/2) rows, not only sums.
                     bands = np.vstack([band.copy() for band in _bands(cfg, absolute=True)])
-                    assert bitwise_equal(bands, np.abs(index_grid(cfg))), (b, bt)
+                    top = np.abs(index_grid(cfg))[: (n + 1) // 2]
+                    assert bitwise_equal(bands, top), (b, bt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 600), b=st.sampled_from([2, -2]), bt=st.floats(-8, 8))
+    def test_mirrored_rows_sum_as_the_full_grid(self, n, b, bt):
+        # Rows n+1-i are summed through a reversed view of row i, in the full grid's order.
+        cfg = MatrixConfig(n, b, bt)
+        if not is_singular(cfg):
+            assert exact_infinity_norm(cfg) == grid_norm(cfg)
 
     def test_memory_is_one_band(self):
         # The n x n grid alone is 128 MiB at n = 4096; one band of 64 rows is 2 MiB.

@@ -391,8 +391,7 @@ class TestAssembleInverse:
     def test_centrosymmetry(self):
         for cfg in (MatrixConfig(9, 2, -2.5), MatrixConfig(12, -2, 3.7)):
             e = assemble_inverse(cfg).entries
-            rotated = e[::-1, ::-1]
-            assert np.max(np.abs(e - rotated)) <= 1e-12 * np.max(np.abs(e))
+            assert np.array_equal(e, e[::-1, ::-1])
 
     def test_deterministic(self):
         cfg = MatrixConfig(11, 2, 0.37)
@@ -444,6 +443,26 @@ class TestGeneratorGrid:
                     scaled = MatrixConfig(n, b, bt, c_hat=c_hat)
                     got = assemble_inverse(scaled, scaled=True).entries
                     assert bitwise_equal(got, tril_mirror_assembly(scaled, scaled=True)), (b, bt)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(4, 300), b=st.sampled_from([2, -2]), data=st.data())
+    def test_exactly_centrosymmetric(self, n, b, data):
+        # v_i is u_{n+1-i}, so entry (i, j) and entry (n+1-i, n+1-j) are one product of two floats.
+        bt = data.draw(
+            st.one_of(st.floats(-8, 8), st.sampled_from(regime_corners(n, b))).filter(
+                lambda bt: not is_singular(MatrixConfig(n, b, bt))
+            )
+        )
+        c_hat = data.draw(st.one_of(st.floats(-4, -0.1), st.floats(0.1, 4)))
+        cfg = MatrixConfig(n, b, bt, c_hat=c_hat)
+        entries = assemble_inverse(cfg).entries
+        assert np.array_equal(entries, index_grid(cfg))
+        assert not np.signbit(entries[entries == 0.0]).any()
+        scaled = assemble_inverse(cfg, scaled=True).entries
+        assert bitwise_equal(scaled, entries / -c_hat)
+        for e in (entries, scaled):
+            assert bitwise_equal(e, e.T)
+            assert bitwise_equal(e, e[::-1, ::-1])
 
     def test_signed_zero_corners_give_zero_entries(self):
         # b_tilde = 0 makes u_2 and v_{n-1} vanish: the +0.0 normalisation is exercised.
