@@ -78,7 +78,10 @@ def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = Fa
     Bands go into ``out`` or one buffer; row n+1-i is row i reversed, bit for bit.  For
     b = -2 the parity (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v; ``absolute``
     uses |u|, |v| and |D|, exact as IEEE rounding is sign-symmetric.  Bands are divided
-    by D in cache, with no -0.0, and each diagonal block mirrors its lower part.
+    by D in cache, with no -0.0, and each diagonal block mirrors its lower part.  Only a
+    zero generator (u_k = 0 at sgn(b) b_tilde = (k-2)/(k-1)) gives zero entries, -0.0
+    where D < 0, so only then does the + 0.0 pass run: the other products are nonzero,
+    and the ``MatrixConfig`` ranges keep them from underflowing.
     """
     import numpy as np
 
@@ -86,6 +89,7 @@ def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = Fa
     bt, flip = _plus_frame(cfg)
     k = np.arange(1, n + 1, dtype=float)
     u, v, d = _generators(n, bt - 2.0, k, k)
+    signed_zeros = not absolute and not u.all()
     if absolute:
         u, v, d = np.abs(u), np.abs(v), abs(d)
     elif flip:
@@ -103,8 +107,8 @@ def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = Fa
         block = band[:, s:e]
         np.copyto(block, block.T, where=upper[: e - s, : e - s])
         band /= d
-        if not absolute:
-            band += 0.0  # b_tilde = 0 makes some u_k v_k products signed zeros
+        if signed_zeros:
+            band += 0.0
         yield band
 
 

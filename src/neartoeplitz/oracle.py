@@ -1,8 +1,10 @@
 """Brute-force reference path for every property test.
 
 Builds the dense matrix explicitly and inverts it by Gauss-Jordan elimination
-with partial pivoting.  Deliberately shares no code with the closed-form
-modules: no entry formulas, no tridiagonal shortcuts, no library inverse.
+with partial pivoting, in place (n^3 flops, n^2 memory; Press et al.,
+*Numerical Recipes*, sec. 2.1).  Deliberately shares no code with the
+closed-form modules: no entry formulas, no tridiagonal shortcuts, no library
+inverse.
 """
 
 from __future__ import annotations
@@ -47,38 +49,62 @@ def _as_array(m: DenseMatrix | np.ndarray) -> np.ndarray:
     data = m.data if isinstance(m, DenseMatrix) else np.asarray(m, dtype=float)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {data.shape}")
+    if data.size == 0:
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
+    if not np.isfinite(data).all():
+        raise ValueError("expected finite entries, got nan or inf")
     return np.array(data, dtype=float)
 
 
 def reference_inverse(m: DenseMatrix | np.ndarray) -> InverseMatrix:
-    """Invert by Gauss-Jordan elimination with partial pivoting.
+    """Invert by Gauss-Jordan elimination with partial pivoting, in place.
 
     Raises PivotBreakdownError when the selected pivot magnitude falls to
     PIVOT_RTOL times the max-abs entry of the input, which flags singular and
-    near-singular matrices.
+    near-singular matrices, and ValueError for empty or non-finite input.
+
+    The augmented form [A | I] updates 2n columns per pivot, although the
+    identity's columns stay unit vectors until their row is pivoted.  Here the
+    inverse's column col takes the place of A's once that is eliminated: n^3
+    flops on n^2 storage, with one n x n buffer for the update.  The implicit
+    unit columns carry one signed zero per row, kept in ``zeros`` and updated
+    as the augmented form would, so the result has its bits, signs of zeros
+    included.  Row swaps are undone as column swaps at the end.
     """
     a = _as_array(m)
     n = a.shape[0]
     scale = np.max(np.abs(a))
     if scale == 0.0:
         raise PivotBreakdownError("zero matrix")
-    aug = np.hstack([a, np.eye(n)])
+    zeros = np.zeros(n)
+    update = np.empty((n, n))
+    swaps = []
     for col in range(n):
-        p = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[p, col]
+        p = col + int(np.abs(a[col:, col]).argmax())
+        pivot = a[p, col]
         if abs(pivot) <= PIVOT_RTOL * scale:
             raise PivotBreakdownError(
                 f"pivot {pivot:.3e} at column {col + 1} below threshold "
                 f"{PIVOT_RTOL * scale:.3e}"
             )
         if p != col:
-            aug[[col, p]] = aug[[p, col]]
-        aug[col] /= aug[col, col]
-        # Eliminate from every row in place; that zeroes the pivot row, so put it back.
-        pivot_row = aug[col].copy()
-        aug -= np.outer(aug[:, col], pivot_row)
-        aug[col] = pivot_row
-    return InverseMatrix(entries=aug[:, n:], source=ORACLE)
+            a[[col, p]] = a[[p, col]]
+            zeros[[col, p]] = zeros[[p, col]]
+            swaps.append((col, p))
+        a[col, col] = 1.0
+        a[col] /= pivot
+        row = a[col].copy()
+        f = a[:, col].copy()
+        z = zeros[col] / pivot
+        a[:, col] = zeros
+        # The update zeroes the pivot row; put it back.
+        a -= np.multiply(f[:, None], row, out=update)
+        a[col] = row
+        zeros -= f * z
+        zeros[col] = z
+    for col, p in reversed(swaps):
+        a[:, [col, p]] = a[:, [p, col]]
+    return InverseMatrix(entries=a, source=ORACLE)
 
 
 def reference_norm(m: DenseMatrix | np.ndarray) -> float:

@@ -331,11 +331,11 @@ def tril_mirror_assembly(cfg, scaled=False):
 
 
 def masked_gauss_jordan(m):
-    """Gauss-Jordan with partial pivoting that updates the non-pivot rows through a mask.
+    """Gauss-Jordan with partial pivoting on the augmented [A | I], non-pivot rows through a mask.
 
-    This is the elimination step ``oracle.reference_inverse`` used before it
-    updated every row in place; kept as its bitwise reference, with the same
-    PIVOT_RTOL breakdown rule and message.
+    This is the n x 2n elimination ``oracle.reference_inverse`` replaced with
+    its in-place form; kept as its bitwise reference, signs of zeros included,
+    with the same PIVOT_RTOL breakdown rule and message.
     """
     a = np.array(m, dtype=float)
     n = a.shape[0]

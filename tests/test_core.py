@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neartoeplitz import (
@@ -465,7 +465,7 @@ class TestGeneratorGrid:
             assert bitwise_equal(e, e[::-1, ::-1])
 
     def test_signed_zero_corners_give_zero_entries(self):
-        # b_tilde = 0 makes u_2 and v_{n-1} vanish: the +0.0 normalisation is exercised.
+        # b_tilde = 0 zeroes u_2 and v_{n-1}: the index grid has -0.0 there, the assembly none.
         for b, bt in ((2, 0.0), (2, -0.0), (-2, 0.0), (-2, -0.0)):
             cfg = MatrixConfig(12, b, bt)
             reference = index_grid(cfg)
@@ -473,6 +473,27 @@ class TestGeneratorGrid:
             entries = assemble_inverse(cfg).entries
             assert (entries == 0.0).sum() == 4 * 12 - 8
             assert not np.signbit(entries[entries == 0.0]).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(4, 300),
+        b=st.sampled_from([2, -2]),
+        bt=st.one_of(
+            st.integers(3, 300).map(lambda k: (k - 2) / (k - 1)),
+            st.integers(1, 9).map(lambda m: 1.0 - 2.0**-m),
+            st.sampled_from([0.0, -0.0, 2.0**400, -(2.0**400), 2.0**-400, -(2.0**-400)]),
+        ),
+    )
+    @example(n=4, b=2, bt=0.5)
+    @example(n=40, b=-2, bt=0.96875)
+    def test_zero_generator_corners(self, n, b, bt):
+        # u_k vanishes at sgn(b) b_tilde = (k-2)/(k-1) when that is exact, as at k = 2**m + 1.
+        # Only there is an entry zero, and where D < 0 it is 0 / D = -0.0 before the + 0.0 pass.
+        cfg = MatrixConfig(n, b, -bt if b < 0 else bt)
+        assume(not is_singular(cfg))
+        entries = assemble_inverse(cfg).entries
+        assert not np.signbit(entries[entries == 0.0]).any()
+        assert bitwise_equal(entries, index_grid(cfg) + 0.0)
 
 
 class TestDenseSizeCap:

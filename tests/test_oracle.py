@@ -1,5 +1,7 @@
 """Dense reference path: construction, elimination, breakdown behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ class TestReferenceInverse:
         with pytest.raises(ValueError):
             reference_inverse(np.zeros((3, 4)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            reference_inverse(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = tridiag(4, 2)
+        m[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reference_inverse(m)
+
 
 class TestReferenceSummaries:
     def test_norm_3x3(self):
@@ -137,12 +150,27 @@ class TestInPlaceElimination:
     def test_random_dense(self):
         rng = np.random.default_rng(20261018)
         for trial in range(300):
-            n = int(rng.integers(1, 25))
-            m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
-            if trial % 3 == 0:
+            n = int(rng.integers(1, 101))
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9)
+            if trial % 4 == 0:
                 m[rng.random((n, n)) < 0.5] = -0.0
+            if trial % 4 == 1:
+                # Diagonally dominant with its rows shuffled: a row swap at nearly every column.
+                m = (m + np.diag(np.full(n, 3.0 * n * np.abs(m).max())))[rng.permutation(n)]
             if trial % 5 == 0 and n > 1:
                 m[:, -1] = m[:, 0]
             assert_same_outcome(m)
         assert_same_outcome(np.zeros((3, 3)))
         assert_same_outcome(np.diag([-1.0, -2.0, 4.0]))
+
+    def test_peak_memory_is_two_matrices(self):
+        # The copy and one update buffer: about 2.4 matrices at n = 200.
+        n = 200
+        m = build_matrix(MatrixConfig(n, 2, 0.7)).data
+        tracemalloc.start()
+        try:
+            reference_inverse(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n * n
