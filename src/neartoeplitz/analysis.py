@@ -4,7 +4,7 @@ Row sums and the trace have closed forms; the exact infinity norm takes n^2/2
 products and O(n) memory over the closed-form entries, with the mirrored rows
 summed in their own order.  The lower / upper norm bounds implement the
 published bound formulas with explicit branch selection on b_tilde.  The trace, the norm and the bounds for b = -2 are the b = +2 ones
-at the mirrored corner (``config._plus_frame``); the b = -2 row-sum closed
+at the mirrored corner (the config's b = +2 frame); the b = -2 row-sum closed
 forms, branch names and sign-pattern statement are kept as stated.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import MatrixConfig, _plus_frame, require_dense_order, require_nonsingular
+from .config import MatrixConfig, require_dense_order, require_nonsingular
 from .core import _bands, _parity
 from .errors import UnsupportedCaseError
 
@@ -31,15 +31,13 @@ def trace_inverse(cfg: MatrixConfig) -> float:
     """Exact trace of the inverse.
 
     Tr = n(n+2)/6 - 2*r*n / (3*(1+r)) + r*n / (3*(1+r)*(n+1+r*(n-1)))
-    with r = b_tilde - 2 in the b = +2 frame (``config._plus_frame``); b = -2 returns
-    0.0 - Tr, so an exact zero stays +0.0.  Nonsingularity guarantees 1 + r != 0.
+    with r = b_tilde - 2 in the config's b = +2 frame; b = -2 returns 0.0 - Tr, so an
+    exact zero stays +0.0.  Nonsingularity guarantees 1 + r != 0.
     """
     require_nonsingular(cfg)
-    bt, flip = _plus_frame(cfg)
-    n, r = cfg.n, bt - 2.0
-    t = n * (n + 2) / 6.0 - 2.0 * r * n / (3.0 * (1.0 + r)) + r * n / (
-        3.0 * (1.0 + r) * (n + 1 + r * (n - 1)))
-    return 0.0 - t if flip else t
+    n, r, r1 = cfg.n, cfg._r, cfg._r1
+    t = n * (n + 2) / 6.0 - 2.0 * r * n / (3.0 * r1) + r * n / (3.0 * r1 * (n + 1 + r * (n - 1)))
+    return 0.0 - t if cfg._flip else t
 
 
 def _rowsum(cfg: MatrixConfig, i):
@@ -140,11 +138,10 @@ def lower_bound(cfg: MatrixConfig) -> float:
     """Lower bound on the infinity norm of the inverse.
 
     L = max{ |n(n-2)/8 - n/(2(1-b_tilde))|, |n/(2(1-b_tilde))| } for b = 2;
-    for b = -2 the same value at the mirrored corner (``config._plus_frame``).
+    for b = -2 the same value at the mirrored corner of the config's b = +2 frame.
     """
     require_nonsingular(cfg)
-    n = cfg.n
-    bt, _ = _plus_frame(cfg)
+    n, bt = cfg.n, cfg._bt
     half = n / (2.0 * (1.0 - bt))
     return max(abs(n * (n - 2) / 8.0 - half), abs(half))
 
@@ -168,15 +165,14 @@ _BRANCHES_BM2 = (
 def upper_bound(cfg: MatrixConfig) -> UpperBound:
     """Upper bound on the infinity norm, with branch id and named intermediates.
 
-    The five regimes are stated for b = +2 and evaluated at the corner of
-    ``config._plus_frame``; the b = -2 intervals are their mirror images.  Branch
+    The five regimes are stated for b = +2 and evaluated at the corner of the
+    config's b = +2 frame; the b = -2 intervals are their mirror images.  Branch
     endpoints: b_tilde equal to (n-2)/(n-1) takes the linear branch, b_tilde = 0
     the max{S, T} branch.  For n >= 9 and b_tilde <= 0 max{S, T} collapses to S.
     """
     require_nonsingular(cfg)
-    n = cfg.n
-    bt, flip = _plus_frame(cfg)
-    names = _BRANCHES_BM2 if flip else _BRANCHES_B2
+    n, bt = cfg.n, cfg._bt
+    names = _BRANCHES_BM2 if cfg._flip else _BRANCHES_B2
     gamma = (2.0 - bt) / (1.0 - bt)
     if bt > 1.0:
         return UpperBound((n + 1) ** 2 / 8.0 - n * gamma / 2.0, names[0], {})

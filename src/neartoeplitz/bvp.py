@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import upper_bound
-from .config import MatrixConfig, _plus_frame, require_nonsingular
+from .config import MatrixConfig, require_nonsingular
 from .core import _inverse_solver
 from .errors import DivergenceError
 
@@ -111,7 +111,7 @@ def _initial_iterate(prob: BvpProblem) -> np.ndarray:
     u *= np.pi
     u /= prob.n + 1
     np.sin(u, out=u)
-    if _plus_frame(prob.cfg)[1]:
+    if prob.cfg._flip:
         np.negative(u[1::2], out=u[1::2])
     peak = np.abs(u).max()
     u *= 0.5

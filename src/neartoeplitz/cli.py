@@ -15,12 +15,11 @@ import json
 import math
 import sys
 
-from . import tables
 from .analysis import (
     exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
     upper_bound,
 )
-from .config import SINGULARITY_TOL, MatrixConfig, singularity_report
+from .config import SINGULARITY_TOL, TABLE_IDS, MatrixConfig, singularity_report
 from .core import assemble_inverse, near_toeplitz_inverse_entry
 from .errors import DivergenceError, SingularMatrixError
 
@@ -171,6 +170,8 @@ def cmd_solve_bvp(args) -> str:
 
 def cmd_reproduce(args) -> str:
     """The requested published table as CSV with a per-row pass flag."""
+    from . import tables
+
     rows = _round10(tables.reproduce(args.table_id))
     header = list(rows[0])
     lines = [",".join(header)] + [",".join(_fmt(row[key]) for key in header) for row in rows]
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve_bvp)
 
     p = sub.add_parser("reproduce", parents=[out], help="recompute a published table (CSV)")
-    p.add_argument("table_id", choices=tables.TABLE_IDS)
+    p.add_argument("table_id", choices=TABLE_IDS)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -1,16 +1,17 @@
-"""Matrix configuration, singularity detection, and the b = +2 frame (``_plus_frame``).
+"""Matrix configuration, carrying its b = +2 frame; singularity detection.
 
 The library works on the normalized operator: an n x n symmetric tridiagonal
 matrix with constant diagonal ``b`` (|b| = 2), off-diagonals -1, and both
 corner diagonal entries replaced by ``b_tilde``.  The scaled variant multiplies
 the whole matrix by ``-c_hat``; with the default ``c_hat = -1`` the two
-coincide.
+coincide.  A ``MatrixConfig`` derives its b = +2 frame (the mirrored corner, r, 1 + r,
+the generators' denominator D and the singular flag) once, at construction, and the
+closed forms read those fields.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import DenseSizeError, SingularMatrixError
 
@@ -28,9 +29,12 @@ _MAX_CORNER = 2.0**400
 _MAX_SCALE = 2.0**400
 
 
-@dataclass(frozen=True)
+#: The published tables that ``reproduce`` recomputes (``tables.reproduce``).
+TABLE_IDS = ("fig2_table", "fig3_table", "table5", "table6")
+
+
 class MatrixConfig:
-    """The quadruple (n, b, b_tilde, c_hat) defining the operator.
+    """The quadruple (n, b, b_tilde, c_hat) defining the operator, and its b = +2 frame.
 
     n       : matrix order, 4..2**53; any integer type (``operator.index``)
     b       : Toeplitz diagonal after normalization, exactly +2 or -2
@@ -39,43 +43,66 @@ class MatrixConfig:
     c_hat   : scaling of the unnormalized matrix, 2**-400 <= |c_hat| <= 2**400 (default -1,
               i.e. the scaled and normalized matrices are identical; NaN, infinities
               and 0 are refused)
+
+    Immutable; ``==``, ``hash``, ``repr``, ``copy`` and ``pickle`` see these four fields only.
+    The frame is derived from them once: A_{-2}(b_tilde)^{-1} = -S A_{+2}(-b_tilde)^{-1} S
+    with S = diag((-1)^i), so the closed forms work at b = +2 on ``_bt`` = sgn(b) b_tilde,
+    with ``_r`` = _bt - 2 (the same float as 2 (b_tilde - b) / b, since scaling by 2 and
+    negation are exact), ``_r1`` = 1 + r and ``_d`` = D = (1 + r)(n + 1 + r (n - 1)), and
+    flip once at the output when ``_flip`` (b = -2): entry (i, j) by -(-1)^(i+j), the
+    trace by negation.  Numeric code reads b only here.  ``_singular`` is
+    :func:`is_singular` at the default tolerance.
     """
 
-    n: int
-    b: int
-    b_tilde: float
-    c_hat: float = -1.0
+    __slots__ = ("n", "b", "b_tilde", "c_hat", "_bt", "_flip", "_r", "_r1", "_d", "_singular")
 
-    def __post_init__(self):
+    def __init__(self, n: int, b: int, b_tilde: float, c_hat: float = -1.0):
         try:
-            n = operator.index(self.n)
+            order = operator.index(n)
         except TypeError:
-            n = None
-        if n is None or not 4 <= n <= _MAX_ORDER:
-            raise ValueError(f"matrix order must be an integer in 4..2**53, got {self.n!r}")
-        object.__setattr__(self, "n", n)
-        if self.b not in (2, -2):
-            raise ValueError(f"diagonal b must be +2 or -2, got {self.b!r}")
-        if not abs(self.b_tilde) <= _MAX_CORNER:
-            raise ValueError(f"corner value must lie in [-2**400, 2**400], got {self.b_tilde!r}")
-        if not 1 / _MAX_SCALE <= abs(self.c_hat) <= _MAX_SCALE:
-            raise ValueError(f"scaling |c_hat| must lie in [2**-400, 2**400], got {self.c_hat!r}")
+            order = None
+        if order is None or not 4 <= order <= _MAX_ORDER:
+            raise ValueError(f"matrix order must be an integer in 4..2**53, got {n!r}")
+        if b not in (2, -2):
+            raise ValueError(f"diagonal b must be +2 or -2, got {b!r}")
+        if not abs(b_tilde) <= _MAX_CORNER:
+            raise ValueError(f"corner value must lie in [-2**400, 2**400], got {b_tilde!r}")
+        if not 1 / _MAX_SCALE <= abs(c_hat) <= _MAX_SCALE:
+            raise ValueError(f"scaling |c_hat| must lie in [2**-400, 2**400], got {c_hat!r}")
+        bt, flip = (-b_tilde, True) if b < 0 else (b_tilde, False)
+        r = bt - 2.0
+        frame = (order, b, b_tilde, c_hat, bt, flip, r, 1.0 + r,
+                 (1.0 + r) * (order + 1 + r * (order - 1)))
+        for name, value in zip(self.__slots__, frame):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_singular", is_singular(self))
+
+    def _fields(self) -> tuple:
+        return self.n, self.b, self.b_tilde, self.c_hat
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"MatrixConfig is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "MatrixConfig(n={!r}, b={!r}, b_tilde={!r}, c_hat={!r})".format(*self._fields())
+
+    def __reduce__(self):
+        return MatrixConfig, self._fields()
 
     def singular_points(self) -> tuple[float, float]:
         """The two corner values at which the matrix is singular, sgn(b) (1, (n-3)/(n-1))."""
         s = 1 if self.b > 0 else -1
         return (s * 1.0, s * (self.n - 3) / (self.n - 1))
-
-
-def _plus_frame(cfg: MatrixConfig) -> tuple[float, bool]:
-    """(sgn(b) b_tilde, b == -2): the corner in the b = +2 frame and whether to flip back.
-
-    A_{-2}(b_tilde)^{-1} = -S A_{+2}(-b_tilde)^{-1} S with S = diag((-1)^i).  The closed
-    forms work at b = +2, with r = b_tilde - 2 (the same float as 2 (b_tilde - b) / b,
-    since scaling by 2 and negation are exact), and flip once at the output: entry
-    (i, j) by -(-1)^(i+j), the trace by negation.  Numeric code reads b only here.
-    """
-    return (-cfg.b_tilde, True) if cfg.b < 0 else (cfg.b_tilde, False)
 
 
 def _delta_factored(cfg: MatrixConfig) -> float:
@@ -118,7 +145,7 @@ def singularity_report(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> dict:
 
 def require_nonsingular(cfg: MatrixConfig) -> None:
     """Raise :class:`SingularMatrixError` for configurations within ``SINGULARITY_TOL``."""
-    if is_singular(cfg):
+    if cfg._singular:
         s1, s2 = cfg.singular_points()
         raise SingularMatrixError(
             f"corner value {cfg.b_tilde} is within {SINGULARITY_TOL} of a singular point "

@@ -2,16 +2,15 @@
 
 All index arguments are 1-based, matching the usual statement of the entry
 formulas.  Formulas are written for the lower triangle (i >= j) in the b = +2
-frame of ``config._plus_frame``; symmetry swaps indices, the frame flips b = -2.
+frame that ``MatrixConfig`` carries; symmetry swaps indices, the frame flips b = -2.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .config import MatrixConfig, _plus_frame, require_dense_order, require_nonsingular
+from .config import MatrixConfig, require_dense_order, require_nonsingular
 
 if TYPE_CHECKING:
     import numpy as np
@@ -23,21 +22,18 @@ ORACLE = "oracle"
 _BAND = 64
 
 
-@dataclass
-class InverseMatrix:
-    """A realized n x n inverse with provenance tag ('closed_form' or 'oracle')."""
+class InverseMatrix(NamedTuple):
+    """A realized n x n inverse with provenance tag ('closed_form' or 'oracle').
+
+    A ``NamedTuple``: it unpacks as (entries, source) and equals a plain tuple.
+    """
 
     entries: np.ndarray
     source: str
 
 
-def _generators(n: int, r: float, j, i):
-    """(u_j, u_{n+1-i}, D) at corner ratio r, for scalar or array indices; v_i is u_{n+1-i}."""
-    return j * (1.0 + r) - r, (n + 1 - i) * (1.0 + r) - r, (1.0 + r) * (n + 1 + r * (n - 1))
-
-
 def _parity(i):
-    """(-1)^i at an integer or integer array i: the diagonal of S in ``config._plus_frame``."""
+    """(-1)^i at an integer or integer array i: the diagonal of S in ``MatrixConfig``'s frame."""
     return 1.0 - 2.0 * (i & 1)
 
 
@@ -58,14 +54,15 @@ def near_toeplitz_inverse_entry(
     indices outside 1..n.
     """
     require_nonsingular(cfg)
-    if not (1 <= operator.index(i) <= cfg.n and 1 <= operator.index(j) <= cfg.n):
-        raise IndexError(f"indices must lie in 1..{cfg.n}, got (i={i}, j={j})")
+    n = cfg.n
+    if not (1 <= operator.index(i) <= n and 1 <= operator.index(j) <= n):
+        raise IndexError(f"indices must lie in 1..{n}, got (i={i}, j={j})")
     if i < j:
         i, j = j, i
-    bt, flip = _plus_frame(cfg)
-    u, v, d = _generators(cfg.n, bt - 2.0, j, i)
-    value = u * v / d
-    if flip and (i + 1 - j) % 2 == 1:
+    r, r1 = cfg._r, cfg._r1
+    # u_j v_i / D by the generator expressions of ``_bands``: an entry has the grid's bits.
+    value = (j * r1 - r) * ((n + 1 - i) * r1 - r) / cfg._d
+    if cfg._flip and (i + 1 - j) % 2 == 1:
         value = -value
     if scaled:
         value /= -cfg.c_hat
@@ -85,14 +82,13 @@ def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = Fa
     """
     import numpy as np
 
-    n = cfg.n
-    bt, flip = _plus_frame(cfg)
+    n, r, r1, d = cfg.n, cfg._r, cfg._r1, cfg._d
     k = np.arange(1, n + 1, dtype=float)
-    u, v, d = _generators(n, bt - 2.0, k, k)
+    u, v = k * r1 - r, (n + 1 - k) * r1 - r  # the generators u_k and v_k = u_{n+1-k}
     signed_zeros = not absolute and not u.all()
     if absolute:
         u, v, d = np.abs(u), np.abs(v), abs(d)
-    elif flip:
+    elif cfg._flip:
         sigma = _parity(np.arange(1, n + 1))
         u *= sigma
         v *= -sigma
@@ -123,7 +119,7 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     2x2 capacitance system with m11 = 1 + beta n/(n+1), m12 = beta/(n+1),
     through its eigenvalues 1 + beta and 1 + beta (n-1)/(n+1).  Their product
     is the factored determinant delta, so the solve breaks down exactly at the
-    two singular corners.  b = -2 goes through ``config._plus_frame``, with
+    two singular corners.  b = -2 goes through the config's b = +2 frame, with
     -S and ``scale`` folded into the weights before and S into those after.
 
     This is the LU order, so the solve is backward stable: the residual
@@ -137,9 +133,7 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     import numpy as np
 
     require_nonsingular(cfg)
-    n = cfg.n
-    bt, flip = _plus_frame(cfg)
-    beta = bt - 2.0
+    n, bt, beta, flip = cfg.n, cfg._bt, cfg._r, cfg._flip
     # Eigenvalues of the capacitance matrix, on the eigenvectors (1, 1) and
     # (1, -1), each a multiple of the distance to one singular corner.
     q_sum = beta / (bt - 1.0)

@@ -8,7 +8,7 @@ compares against the published cells at the documented tolerances.
 from __future__ import annotations
 
 from .analysis import exact_infinity_norm, upper_bound
-from .config import MatrixConfig
+from .config import TABLE_IDS, MatrixConfig
 
 # (n, b_tilde, published norm, published upper bound)
 NORM_BOUND_B2 = (
@@ -124,9 +124,6 @@ def reproduce_fisher(b: int) -> list[dict]:
             }
         )
     return rows
-
-
-TABLE_IDS = ("fig2_table", "fig3_table", "table5", "table6")
 
 
 def reproduce(table_id: str) -> list[dict]:

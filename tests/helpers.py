@@ -292,7 +292,7 @@ def index_grid(cfg):
 
     This is how ``core.assemble_inverse`` computed the grid before it was
     built from the two generators; kept as its bitwise reference.  v_max(i,j)
-    is the u expression at n + 1 - max(i,j), as in ``core._generators``.
+    is the u expression at n + 1 - max(i,j), as in ``core._bands``.
     """
     n = cfg.n
     beta = cfg.b_tilde - cfg.b

@@ -391,6 +391,10 @@ def test_cli_is_thin_wrapper(capsys):
 SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
 #: Prints whether any numpy module was imported by the code run before it.
 NUMPY_LOADED = "print(any(m.split('.')[0] == 'numpy' for m in sys.modules))"
+#: Prints which start-up costs of no use to a scalar call were imported: dataclasses and
+#: inspect (8 ms together), and the tables module.
+STARTUP_LOADED = ("print(sorted({'dataclasses', 'inspect', 'neartoeplitz.tables'}"
+                  " & set(sys.modules)))")
 
 
 def _run_fresh(*argv):
@@ -445,7 +449,8 @@ SCALAR_CALLS = [
 
 class TestImportBoundary:
     """scipy is a test-only dependency: the package and its CLI never import it.  numpy is
-    imported only by code that builds an array, so the scalar subcommands run without it."""
+    imported only by code that builds an array, so the scalar subcommands run without it, and
+    without dataclasses, inspect or the tables module."""
 
     def test_import_does_not_load_scipy(self):
         assert run_python(f"import sys, neartoeplitz; {SCIPY_LOADED}").split() == ["False"]
@@ -455,8 +460,8 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("argv, code", SCALAR_CALLS)
     def test_scalar_subcommand_does_not_load_numpy(self, argv, code):
-        out = run_main(argv, NUMPY_LOADED, code)
-        assert out.split()[-1] == "False"
+        out = run_main(argv, f"{NUMPY_LOADED}\n{STARTUP_LOADED}", code)
+        assert out.splitlines()[-2:] == ["False", "[]"]
         if code == 0:
             assert f'"command": "{argv[0]}"' in out or f"command,{argv[0]}" in out
 

@@ -1,6 +1,8 @@
 """Entry formulas, derived parameters, singularity detection, assembly."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -191,6 +193,44 @@ class TestMatrixConfig:
         assert type(cfg.n) is int
         with pytest.raises(ValueError):
             MatrixConfig(np.int32(3), 2, 3.0)
+
+    def test_repr_names_the_four_fields(self):
+        assert repr(MatrixConfig(10, 2, 5.93)) == "MatrixConfig(n=10, b=2, b_tilde=5.93, c_hat=-1.0)"
+        assert repr(MatrixConfig(n=np.int64(7), b=-2, b_tilde=-0.0, c_hat=2.5)) == (
+            "MatrixConfig(n=7, b=-2, b_tilde=-0.0, c_hat=2.5)")
+
+    def test_equal_configs_hash_equal(self):
+        cfg = MatrixConfig(10, -2, 0.3, 2.5)
+        for same in (MatrixConfig(10, -2, 0.3, 2.5), MatrixConfig(np.int64(10), -2, 0.3, c_hat=2.5)):
+            assert cfg == same and hash(cfg) == hash(same)
+        assert len({cfg, MatrixConfig(10, -2, 0.3, 2.5), MatrixConfig(10, 2, 0.3, 2.5)}) == 2
+        assert cfg != MatrixConfig(10, -2, 0.3) and cfg != (10, -2, 0.3, 2.5)
+
+    def test_immutable(self):
+        cfg = MatrixConfig(10, 2, 3.0)
+        for name in ("n", "b", "b_tilde", "c_hat", "_r", "_d", "_singular", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(cfg, name)
+        assert cfg == MatrixConfig(10, 2, 3.0) and cfg._r == 1.0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_round_trip(self, clone):
+        for cfg in (MatrixConfig(10, 2, 5.93), MatrixConfig(9, -2, 0.6, 2.5)):
+            twin = clone(cfg)
+            assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
+            frame = ("_bt", "_flip", "_r", "_r1", "_d", "_singular")
+            assert [getattr(twin, k) for k in frame] == [getattr(cfg, k) for k in frame]
+
+    def test_frame_fields_play_no_part_in_equality(self):
+        """-0.0 == 0.0 as b_tilde, but the mirrored corners differ in sign: the configs are equal."""
+        plus, minus = MatrixConfig(8, -2, 0.0), MatrixConfig(8, -2, -0.0)
+        assert math.copysign(1.0, plus._bt) != math.copysign(1.0, minus._bt)
+        assert plus == minus and hash(plus) == hash(minus)
+        assert MatrixConfig(8, 2, 3.0) != MatrixConfig(8, -2, 3.0)
 
     def test_singular_points(self):
         assert MatrixConfig(5, 2, 0.0).singular_points() == (1.0, 0.5)

@@ -101,7 +101,7 @@ def _readers(path: Path, attrs: set[str]) -> set[str]:
 
 
 def test_numeric_code_reads_b_only_through_the_frame():
-    """b = -2 is computed as the mirrored b = +2 of ``config._plus_frame``: the closed forms in
+    """b = -2 is computed as the mirrored b = +2 of the config's frame: the closed forms in
     ``core``, ``bvp``, the trace and the bounds read no ``.b``; only the b = -2 row-sum closed
     forms and the b = +2-only statements in ``analysis`` do."""
     package = Path(neartoeplitz.__file__).parent
