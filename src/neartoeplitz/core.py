@@ -20,6 +20,8 @@ ORACLE = "oracle"
 
 #: Rows per band of the grid; a band of 64 rows at n = 3000 is 1.5 MB.
 _BAND = 64
+#: Inverses of at least this many bytes (n >= 1024) get their own mapping (``_empty_square``).
+_MAPPED_BYTES = 8 << 20
 
 
 class InverseMatrix(NamedTuple):
@@ -169,17 +171,39 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     return solve
 
 
+def _empty_square(n: int) -> np.ndarray:
+    """An uninitialized n x n float array; in its own anonymous mapping when large.
+
+    glibc malloc raises its mmap threshold to the size of each mapped block it frees (up
+    to 32 MB), so dense inverses of varying order end up sharing the heap, and how much
+    of it freed ones leave resident depends on the small blocks allocated around them.
+    A mapping is unmapped when the array dies, so peak memory no longer depends on that
+    layout.  Its pages are faulted in fresh on every call; below ``_MAPPED_BYTES`` that
+    costs a large share of the assembly, so smaller arrays come from numpy as usual.
+    """
+    import numpy as np
+
+    if n * n * 8 < _MAPPED_BYTES:
+        return np.empty((n, n))
+    import mmap
+
+    if not hasattr(mmap, "MAP_ANONYMOUS"):  # Windows
+        return np.empty((n, n))
+    buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for its own arrays of 4 MB and up
+    return np.frombuffer(buf).reshape(n, n)
+
+
 def assemble_inverse(cfg: MatrixConfig, scaled: bool = False) -> InverseMatrix:
     """Materialize the full inverse: the top ceil(n/2) rows from ``_bands``, the rest reversed.
 
     Exactly symmetric and centrosymmetric with no -0.0; n > 2**14 raises DenseSizeError.
     """
-    import numpy as np
-
     require_nonsingular(cfg)
     require_dense_order(cfg.n)
     n, h = cfg.n, (cfg.n + 1) // 2
-    entries = np.empty((n, n))
+    entries = _empty_square(n)
     for _ in _bands(cfg, entries):
         pass
     if scaled:

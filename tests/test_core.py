@@ -433,6 +433,16 @@ class TestAssembleInverse:
             e = assemble_inverse(cfg).entries
             assert np.array_equal(e, e[::-1, ::-1])
 
+    def test_mapped_storage_is_bitwise_the_heap_storage(self, monkeypatch):
+        from neartoeplitz import core
+
+        cfg = MatrixConfig(37, -2, 0.61, c_hat=-3.0)
+        heap = assemble_inverse(cfg, scaled=True).entries
+        monkeypatch.setattr(core, "_MAPPED_BYTES", 0)
+        mapped = assemble_inverse(cfg, scaled=True).entries
+        assert bitwise_equal(mapped, heap)
+        assert mapped.flags.c_contiguous and mapped.flags.writeable
+
     def test_deterministic(self):
         cfg = MatrixConfig(11, 2, 0.37)
         a = assemble_inverse(cfg).entries
