@@ -5,7 +5,8 @@ deterministic report: JSON by default, CSV with ``--format csv`` (``reproduce``:
 CSV only); floats are printed with 10 significant digits.  Exit codes: 0 success,
 2 usage or invalid argument (also an unwritable ``--out``, a non-finite result or a
 refused allocation), 3 singular configuration, 4 diverging iteration.  Every failure
-writes one JSON error object to stderr and nothing to stdout.
+writes one JSON error object to stderr and nothing to stdout, except argparse's own
+usage errors (an unknown, missing or malformed option), which exit 2 with its usage text.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ def _csv_rows(field: str, value):
         yield f"{field}," + ",".join(map(_fmt, value if isinstance(value, list) else [value]))
 
 
-def _report(args, inputs: dict, outputs: dict, branch: str | None = None) -> str:
-    """The subcommand's record, normalised and rendered in ``--format``."""
+def _report(args, outputs: dict, branch: str | None = None) -> str:
+    """The subcommand's record, normalised and rendered in ``--format``.  ``inputs`` echoes
+    every parsed option except ``--format`` and ``--out``, in the parser's order."""
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "format", "out")}
     rec = {"command": args.command, "inputs": inputs, "outputs": outputs}
     if branch is not None:
         rec["branch"] = branch
@@ -85,32 +88,18 @@ def _cfg(args) -> MatrixConfig:
     return MatrixConfig(n=args.n, b=args.b, b_tilde=args.btilde, c_hat=args.chat)
 
 
-def _cfg_inputs(args) -> dict:
-    return {"n": args.n, "b": args.b, "btilde": args.btilde, "chat": args.chat}
-
-
 def cmd_entry(args) -> str:
-    cfg = _cfg(args)
-    inputs = _cfg_inputs(args) | {"i": args.i, "j": args.j}
-    if args.toeplitz:
-        if args.scaled:
-            raise ValueError("--toeplitz gives an entry of the unscaled Toeplitz inverse; drop --scaled")
-        toeplitz = MatrixConfig(args.n, args.b, args.b, args.chat)
-        value = near_toeplitz_inverse_entry(toeplitz, args.i, args.j)
-    else:
-        value = near_toeplitz_inverse_entry(cfg, args.i, args.j, scaled=args.scaled)
-        inputs["scaled"] = args.scaled
-    return _report(args, inputs, {"value": value})
+    value = near_toeplitz_inverse_entry(_cfg(args), args.i, args.j, scaled=args.scaled)
+    return _report(args, {"value": value})
 
 
 def cmd_invert(args) -> str:
     inv = assemble_inverse(_cfg(args), scaled=args.scaled)
-    inputs = _cfg_inputs(args) | {"scaled": args.scaled}
-    return _report(args, inputs, {"n": args.n, "source": inv.source, "entries": inv.entries})
+    return _report(args, {"n": args.n, "source": inv.source, "entries": inv.entries})
 
 
 def cmd_trace(args) -> str:
-    return _report(args, _cfg_inputs(args), {"trace": trace_inverse(_cfg(args))})
+    return _report(args, {"trace": trace_inverse(_cfg(args))})
 
 
 def cmd_rowsum(args) -> str:
@@ -120,11 +109,11 @@ def cmd_rowsum(args) -> str:
     else:
         lower, upper = rowsum_bounds(cfg) if cfg.b == 2 else (None, None)
         outputs = {"values": rowsums(cfg), "lower": lower, "upper": upper}
-    return _report(args, _cfg_inputs(args) | {"i": args.i}, outputs)
+    return _report(args, outputs)
 
 
 def cmd_norm(args) -> str:
-    return _report(args, _cfg_inputs(args), {"norm": exact_infinity_norm(_cfg(args))})
+    return _report(args, {"norm": exact_infinity_norm(_cfg(args))})
 
 
 def cmd_bounds(args) -> str:
@@ -132,32 +121,25 @@ def cmd_bounds(args) -> str:
     ub = upper_bound(cfg)
     outputs = {"lower": lower_bound(cfg), "upper": ub.value, "exact_norm": exact_infinity_norm(cfg),
                "terms": ub.terms}
-    return _report(args, _cfg_inputs(args), outputs, branch=ub.branch)
+    return _report(args, outputs, branch=ub.branch)
 
 
 def cmd_signs(args) -> str:
-    return _report(args, _cfg_inputs(args), {"n": args.n, "pattern": sign_pattern(_cfg(args))})
+    return _report(args, {"n": args.n, "pattern": sign_pattern(_cfg(args))})
 
 
 def cmd_singular(args) -> str:
-    rep = singularity_report(_cfg(args), tol=args.tol)
-    return _report(args, _cfg_inputs(args) | {"tol": args.tol}, rep)
+    return _report(args, singularity_report(_cfg(args), tol=args.tol))
 
 
 def cmd_solve_bvp(args) -> str:
     from .bvp import BvpProblem, solve_fixed_point
 
-    cfg = _cfg(args)
     prob = BvpProblem(
         n=args.n, length=args.length, k_coef=args.k, nonlinearity=args.nonlinearity,
-        cfg=cfg, bc_left=args.bc_left, bc_right=args.bc_right,
+        cfg=_cfg(args), bc_left=args.bc_left, bc_right=args.bc_right,
     )
     res = solve_fixed_point(prob, tol=args.tol, max_iter=args.max_iter)
-    inputs = _cfg_inputs(args) | {
-        "length": args.length, "k": args.k, "nonlinearity": args.nonlinearity,
-        "tol": args.tol, "max_iter": args.max_iter,
-        "bc_left": args.bc_left, "bc_right": args.bc_right,
-    }
     outputs = {
         "iterations": res.iterations,
         "observed_rate": res.observed_rate,
@@ -165,7 +147,7 @@ def cmd_solve_bvp(args) -> str:
         "converged": res.converged,
         "solution": res.solution,
     }
-    return _report(args, inputs, outputs)
+    return _report(args, outputs)
 
 
 def cmd_reproduce(args) -> str:
@@ -201,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entry", parents=mat_io, help="one inverse entry (1-based indices)")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--toeplitz", action="store_true", help="entry of the pure Toeplitz inverse")
     p.add_argument("--scaled", action="store_true", help="entry of the scaled-system inverse")
     p.set_defaults(func=cmd_entry)
 

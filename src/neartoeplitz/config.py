@@ -11,6 +11,7 @@ closed forms read those fields.
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .errors import DenseSizeError, SingularMatrixError
@@ -33,16 +34,28 @@ _MAX_SCALE = 2.0**400
 TABLE_IDS = ("fig2_table", "fig3_table", "table5", "table6")
 
 
+def _real(value) -> float:
+    """``value`` as a Python float, so that a numpy scalar is range-checked and computed in
+    float64.  An int beyond the float range becomes an infinity of its sign, which the range
+    checks refuse; a str raises TypeError, as any other non-number does."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 class MatrixConfig:
     """The quadruple (n, b, b_tilde, c_hat) defining the operator, and its b = +2 frame.
 
     n       : matrix order, 4..2**53; any integer type (``operator.index``)
     b       : Toeplitz diagonal after normalization, exactly +2 or -2
     b_tilde : corner diagonal after normalization, |b_tilde| <= 2**400 (beyond it the
-              closed forms overflow; NaN and infinities are refused too)
+              closed forms overflow; NaN and infinities are refused too); stored as a float
     c_hat   : scaling of the unnormalized matrix, 2**-400 <= |c_hat| <= 2**400 (default -1,
               i.e. the scaled and normalized matrices are identical; NaN, infinities
-              and 0 are refused)
+              and 0 are refused); stored as a float
 
     Immutable; ``==``, ``hash``, ``repr``, ``copy`` and ``pickle`` see these four fields only.
     The frame is derived from them once: A_{-2}(b_tilde)^{-1} = -S A_{+2}(-b_tilde)^{-1} S
@@ -65,13 +78,14 @@ class MatrixConfig:
             raise ValueError(f"matrix order must be an integer in 4..2**53, got {n!r}")
         if b not in (2, -2):
             raise ValueError(f"diagonal b must be +2 or -2, got {b!r}")
-        if not abs(b_tilde) <= _MAX_CORNER:
+        corner, scale = _real(b_tilde), _real(c_hat)
+        if not abs(corner) <= _MAX_CORNER:
             raise ValueError(f"corner value must lie in [-2**400, 2**400], got {b_tilde!r}")
-        if not 1 / _MAX_SCALE <= abs(c_hat) <= _MAX_SCALE:
+        if not 1 / _MAX_SCALE <= abs(scale) <= _MAX_SCALE:
             raise ValueError(f"scaling |c_hat| must lie in [2**-400, 2**400], got {c_hat!r}")
-        bt, flip = (-b_tilde, True) if b < 0 else (b_tilde, False)
+        bt, flip = (-corner, True) if b < 0 else (corner, False)
         r = bt - 2.0
-        frame = (order, b, b_tilde, c_hat, bt, flip, r, 1.0 + r,
+        frame = (order, b, corner, scale, bt, flip, r, 1.0 + r,
                  (1.0 + r) * (order + 1 + r * (order - 1)))
         for name, value in zip(self.__slots__, frame):
             object.__setattr__(self, name, value)

@@ -57,9 +57,18 @@ class TestReports:
         assert json.loads(out)["outputs"]["value"] == pytest.approx(1.0)
 
     def test_entry_toeplitz_flag(self, capsys):
-        _, out, _ = run_cli(capsys, "entry", "--n", "5", "--b", "2", "--btilde", "9.9",
-                            "--i", "5", "--j", "1", "--toeplitz")
+        """The Toeplitz inverse is the near-Toeplitz one at btilde = b."""
+        _, out, _ = run_cli(capsys, "entry", "--n", "5", "--b", "2", "--btilde", "2",
+                            "--i", "5", "--j", "1")
         assert json.loads(out)["outputs"]["value"] == pytest.approx(1 / 6)
+
+    def test_toeplitz_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["entry", "--n", "5", "--b", "2", "--btilde", "2", "--i", "5", "--j", "1",
+                  "--toeplitz"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--toeplitz" in captured.err
 
     def test_invert_matches_library(self, capsys):
         _, out, _ = run_cli(capsys, "invert", "--n", "5", "--b", "2", "--btilde", "3")
@@ -108,6 +117,41 @@ class TestReports:
         rec = json.loads(out)
         assert rec["outputs"]["converged"] is True
         assert rec["outputs"]["iterations"] <= 2
+
+
+#: Each record subcommand's own options, given before the matrix options, and what its
+#: record echoes for them: every parsed option in the parser's order, defaults included.
+ECHO_CALLS = {
+    "entry": (["--scaled", "--j", "3", "--i", "2"], {"i": 2, "j": 3, "scaled": True}),
+    "invert": ([], {"scaled": False}),
+    "trace": ([], {}),
+    "rowsum": (["--i", "4"], {"i": 4}),
+    "norm": ([], {}),
+    "bounds": ([], {}),
+    "signs": ([], {}),
+    "singular": (["--tol", "0.001"], {"tol": 0.001}),
+    "solve-bvp": (["--bc-right", "0.25", "--nonlinearity", "fisher", "--k", "1", "--length", "0.5"],
+                  {"length": 0.5, "k": 1.0, "nonlinearity": "fisher", "tol": 1e-10, "max_iter": 10_000,
+                   "bc_left": 0.0, "bc_right": 0.25}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ECHO_CALLS)
+def test_inputs_echo_every_parsed_option(capsys, tmp_path, command, fmt):
+    """``inputs`` holds the parsed options in the parser's order, not the command line's,
+    without ``--format`` and ``--out``."""
+    extra, echoed = ECHO_CALLS[command]
+    path = tmp_path / "record"
+    code, out, _ = run_cli(capsys, command, *extra, "--format", fmt, "--out", str(path),
+                           "--chat", "2.5", "--btilde", "-3", "--b", "2", "--n", "8")
+    assert code == 0 and path.read_text() == out
+    want = {"n": 8, "b": 2, "btilde": -3.0, "chat": 2.5} | echoed
+    if fmt == "json":
+        assert list(strict_json(out)["inputs"].items()) == list(want.items())
+    else:
+        got = [line for line in out.splitlines() if line.startswith("inputs.")]
+        assert got == [f"inputs.{key},{cli._fmt(value)}" for key, value in want.items()]
 
 
 class TestReproduce:
@@ -197,13 +241,12 @@ class TestFormatsAndDeterminism:
 
 
 _MAT = ["--b", "2", "--btilde", "-3"]
-_TOEPLITZ = ["--n", "8", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--toeplitz"]
 #: A Fisher solve at n = 50; argparse lets a later flag override an earlier one.
 _BVP = ["solve-bvp", "--n", "50", "--b", "2", "--btilde", "2", "--length", "1", "--k", "1",
         "--nonlinearity", "fisher"]
 #: One call of every subcommand that takes an order, without its --n.
 ORDER_CALLS = [
-    ["entry", *_MAT, "--i", "1", "--j", "1"], ["entry", *_MAT, "--i", "1", "--j", "1", "--toeplitz"],
+    ["entry", *_MAT, "--i", "1", "--j", "1"],
     ["invert", *_MAT], ["trace", *_MAT], ["rowsum", *_MAT], ["rowsum", *_MAT, "--i", "1"],
     ["norm", *_MAT], ["bounds", *_MAT], ["signs", *_MAT], ["singular", *_MAT],
     ["solve-bvp", *_MAT, "--length", "1", "--k", "1", "--nonlinearity", "fisher"],
@@ -287,9 +330,7 @@ class TestExitCodes:
         ["norm", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["bounds", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["invert", "--n", "8", "--b", "2", "--btilde", "1e160"],
-        ["entry", *_TOEPLITZ, "--scaled", "--chat", "2.5"],
-        ["entry", *_TOEPLITZ, "--chat", "0"],
-        ["entry", "--n", "3", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--toeplitz"],
+        ["entry", "--n", "8", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--chat", "0"],
         ["invert", "--n", "8", "--b", "2", "--btilde", "3", "--scaled", "--chat", "1e-310"],
         [*_BVP, "--chat", "1e-320"],
         [*_BVP, "--length", "1e-300"],
@@ -297,9 +338,9 @@ class TestExitCodes:
         [*_BVP, "--length", "1e300", "--nonlinearity", "bratu"],
     ], ids=" ".join)
     def test_refused_options_are_2_with_one_error_line(self, argv):
-        """Corners beyond 2**400, |c_hat| outside [2**-400, 2**400], h^2/|c_hat| outside the
-        float range and ``--toeplitz`` with options every other ``entry`` call refuses.  A
-        fresh interpreter shows warnings, so stderr must hold the error alone."""
+        """Corners beyond 2**400, |c_hat| outside [2**-400, 2**400] and h^2/|c_hat| outside
+        the float range.  A fresh interpreter shows warnings, so stderr must hold the error
+        alone."""
         proc = run_module(argv)
         assert (proc.returncode, proc.stdout) == (2, "")
         lines = proc.stderr.splitlines()

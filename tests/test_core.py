@@ -194,6 +194,44 @@ class TestMatrixConfig:
         with pytest.raises(ValueError):
             MatrixConfig(np.int32(3), 2, 3.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_float_fields_are_range_checked_as_floats(self):
+        """A numpy float32 is checked in float64, where 2**-400 and 2**400 do not round to 0
+        and inf; an int beyond the float range gets the range error, a str a TypeError."""
+        with pytest.raises(ValueError, match=r"c_hat"):
+            MatrixConfig(10, 2, 3.0, np.float32(0.0))
+        with pytest.raises(ValueError, match=r"2\*\*400"):
+            MatrixConfig(10, 2, np.float32("inf"))
+        for big in (10**400, -10**400):
+            with pytest.raises(ValueError, match=r"2\*\*400"):
+                MatrixConfig(10, 2, big)
+            with pytest.raises(ValueError, match=r"2\*\*400"):
+                MatrixConfig(10, 2, 3.0, big)
+        with pytest.raises(TypeError):
+            MatrixConfig(10, 2, "3")
+        with pytest.raises(TypeError):
+            MatrixConfig(10, 2, 3.0, "2.5")
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("b", [2, -2])
+    def test_numpy_float_fields_are_stored_as_float(self, dtype, b):
+        """Results equal bit for bit those of a config built from the same values as floats."""
+        cfg = MatrixConfig(10, b, dtype(0.3), dtype(2.5))
+        twin = MatrixConfig(10, b, float(dtype(0.3)), float(dtype(2.5)))
+        assert type(cfg.b_tilde) is float and type(cfg.c_hat) is float
+        assert cfg == twin and repr(cfg) == repr(twin)
+        for c in (cfg, twin):
+            assert type(c._r) is float and type(c._d) is float
+
+        def results(c):
+            ub = upper_bound(c)
+            return [near_toeplitz_inverse_entry(c, 7, 2, scaled=True), trace_inverse(c),
+                    rowsum(c, 4), lower_bound(c), ub.value, *ub.terms.values(), c._r, c._d]
+
+        assert [v.hex() for v in results(cfg)] == [v.hex() for v in results(twin)]
+        assert bitwise_equal(assemble_inverse(cfg, scaled=True).entries,
+                             assemble_inverse(twin, scaled=True).entries)
+
     def test_repr_names_the_four_fields(self):
         assert repr(MatrixConfig(10, 2, 5.93)) == "MatrixConfig(n=10, b=2, b_tilde=5.93, c_hat=-1.0)"
         assert repr(MatrixConfig(n=np.int64(7), b=-2, b_tilde=-0.0, c_hat=2.5)) == (
