@@ -48,8 +48,8 @@ class BvpProblem:
     bc_right: float = 0.0
 
     def __post_init__(self):
-        if self.n != self.cfg.n:
-            raise ValueError(f"grid size {self.n} disagrees with operator order {self.cfg.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n != self.cfg.n:
+            raise ValueError(f"grid size {self.n!r} is not the operator order {self.cfg.n}")
         if not 0 < self.length < math.inf:
             raise ValueError(f"domain length must be positive and finite, got {self.length}")
         # h*h cannot raise where h**2 can; the bound keeps h^2/|c_hat| and its inverse finite.

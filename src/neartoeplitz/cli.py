@@ -7,6 +7,8 @@ CSV only); floats are printed with 10 significant digits.  Exit codes: 0 success
 refused allocation), 3 singular configuration, 4 diverging iteration.  Every failure
 writes one JSON error object to stderr and nothing to stdout, except argparse's own
 usage errors (an unknown, missing or malformed option), which exit 2 with its usage text.
+Every option changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``,
+and report for -c_hat times the matrix; ``singular`` answers at the library's one tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .analysis import (
     exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
     upper_bound,
 )
-from .config import SINGULARITY_TOL, TABLE_IDS, MatrixConfig, singularity_report
+from .config import TABLE_IDS, MatrixConfig, singularity_report
 from .core import assemble_inverse, near_toeplitz_inverse_entry
 from .errors import DivergenceError, SingularMatrixError
 
@@ -85,16 +87,16 @@ def _write(text: str, args) -> None:
 
 
 def _cfg(args) -> MatrixConfig:
-    return MatrixConfig(n=args.n, b=args.b, b_tilde=args.btilde, c_hat=args.chat)
+    return MatrixConfig(n=args.n, b=args.b, b_tilde=args.btilde, c_hat=getattr(args, "chat", -1.0))
 
 
 def cmd_entry(args) -> str:
-    value = near_toeplitz_inverse_entry(_cfg(args), args.i, args.j, scaled=args.scaled)
+    value = near_toeplitz_inverse_entry(_cfg(args), args.i, args.j, scaled=True)
     return _report(args, {"value": value})
 
 
 def cmd_invert(args) -> str:
-    inv = assemble_inverse(_cfg(args), scaled=args.scaled)
+    inv = assemble_inverse(_cfg(args), scaled=True)
     return _report(args, {"n": args.n, "source": inv.source, "entries": inv.entries})
 
 
@@ -129,7 +131,7 @@ def cmd_signs(args) -> str:
 
 
 def cmd_singular(args) -> str:
-    return _report(args, singularity_report(_cfg(args), tol=args.tol))
+    return _report(args, singularity_report(_cfg(args)))
 
 
 def cmd_solve_bvp(args) -> str:
@@ -177,17 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--n", type=int, required=True, help="matrix order (4..2**53)")
     mat.add_argument("--b", type=int, choices=(2, -2), required=True)
     mat.add_argument("--btilde", type=float, required=True, help="corner diagonal value")
-    mat.add_argument("--chat", type=float, default=-1.0, help="scaling c_hat (default -1)")
     mat_io = [mat, fmt, out]
+    chat = argparse.ArgumentParser(add_help=False)
+    chat.add_argument("--chat", type=float, default=-1.0, help="results for -c_hat A (default -1)")
+    scaled_io = [mat, chat, fmt, out]
 
-    p = sub.add_parser("entry", parents=mat_io, help="one inverse entry (1-based indices)")
+    p = sub.add_parser("entry", parents=scaled_io, help="one inverse entry (1-based indices)")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--scaled", action="store_true", help="entry of the scaled-system inverse")
     p.set_defaults(func=cmd_entry)
 
-    p = sub.add_parser("invert", parents=mat_io, help="assemble the full inverse")
-    p.add_argument("--scaled", action="store_true")
+    p = sub.add_parser("invert", parents=scaled_io, help="assemble the full inverse")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("trace", parents=mat_io, help="exact trace of the inverse")
@@ -206,11 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signs", parents=mat_io, help="predicted sign pattern (b=2, btilde<=0)")
     p.set_defaults(func=cmd_signs)
 
-    p = sub.add_parser("singular", parents=mat_io, help="singularity test")
-    p.add_argument("--tol", type=float, default=SINGULARITY_TOL)
+    p = sub.add_parser("singular", parents=mat_io, help="singularity test (tolerance 1e-10)")
     p.set_defaults(func=cmd_singular)
 
-    p = sub.add_parser("solve-bvp", parents=mat_io, help="fixed-point run for u'' = f(u)")
+    p = sub.add_parser("solve-bvp", parents=scaled_io, help="fixed-point run for u'' = f(u)")
     p.add_argument("--length", type=float, required=True, help="domain length")
     p.add_argument("--k", type=float, required=True, help="nonlinearity strength")
     p.add_argument("--nonlinearity", choices=("fisher", "bratu"), required=True)

@@ -16,7 +16,7 @@ import operator
 
 from .errors import DenseSizeError, SingularMatrixError
 
-#: Default half-width of the singular neighborhoods on the b_tilde axis.
+#: Half-width of the singular neighborhoods on the b_tilde axis.
 SINGULARITY_TOL = 1e-10
 #: Largest order: above 2**53, n - i is not an exact float.
 _MAX_ORDER = 2**53
@@ -50,7 +50,7 @@ class MatrixConfig:
     """The quadruple (n, b, b_tilde, c_hat) defining the operator, and its b = +2 frame.
 
     n       : matrix order, 4..2**53; any integer type (``operator.index``)
-    b       : Toeplitz diagonal after normalization, exactly +2 or -2
+    b       : Toeplitz diagonal after normalization, +2 or -2 of any number type; stored as an int
     b_tilde : corner diagonal after normalization, |b_tilde| <= 2**400 (beyond it the
               closed forms overflow; NaN and infinities are refused too); stored as a float
     c_hat   : scaling of the unnormalized matrix, 2**-400 <= |c_hat| <= 2**400 (default -1,
@@ -63,8 +63,8 @@ class MatrixConfig:
     with ``_r`` = _bt - 2 (the same float as 2 (b_tilde - b) / b, since scaling by 2 and
     negation are exact), ``_r1`` = 1 + r and ``_d`` = D = (1 + r)(n + 1 + r (n - 1)), and
     flip once at the output when ``_flip`` (b = -2): entry (i, j) by -(-1)^(i+j), the
-    trace by negation.  Numeric code reads b only here.  ``_singular`` is
-    :func:`is_singular` at the default tolerance.
+    trace by negation.  Numeric code reads b only here.  ``_singular``: ``_bt`` is within
+    ``SINGULARITY_TOL`` of 1 or (n-3)/(n-1); negation is exact, so either sign tests the same.
     """
 
     __slots__ = ("n", "b", "b_tilde", "c_hat", "_bt", "_flip", "_r", "_r1", "_d", "_singular")
@@ -85,11 +85,11 @@ class MatrixConfig:
             raise ValueError(f"scaling |c_hat| must lie in [2**-400, 2**400], got {c_hat!r}")
         bt, flip = (-corner, True) if b < 0 else (corner, False)
         r = bt - 2.0
-        frame = (order, b, corner, scale, bt, flip, r, 1.0 + r,
-                 (1.0 + r) * (order + 1 + r * (order - 1)))
+        frame = (order, -2 if flip else 2, corner, scale, bt, flip, r, 1.0 + r,
+                 (1.0 + r) * (order + 1 + r * (order - 1)),
+                 min(abs(bt - 1.0), abs(bt - (order - 3) / (order - 1))) <= SINGULARITY_TOL)
         for name, value in zip(self.__slots__, frame):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_singular", is_singular(self))
 
     def _fields(self) -> tuple:
         return self.n, self.b, self.b_tilde, self.c_hat
@@ -126,34 +126,31 @@ def _delta_factored(cfg: MatrixConfig) -> float:
     return (n - 1) / (n + 1) * (cfg.b_tilde - s1) * (cfg.b_tilde - s2)
 
 
-def is_singular(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> bool:
-    """True when b_tilde lies within ``tol`` of either singular corner value."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    s1, s2 = cfg.singular_points()
-    return abs(cfg.b_tilde - s1) <= tol or abs(cfg.b_tilde - s2) <= tol
+def is_singular(cfg: MatrixConfig) -> bool:
+    """True when b_tilde lies within ``SINGULARITY_TOL`` of either singular corner value."""
+    return cfg._singular
 
 
-def delta_below_threshold(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> bool:
+def delta_below_threshold(cfg: MatrixConfig) -> bool:
     """Equivalent determinant-based singularity test.
 
-    The threshold scales tol by (n-1)/(n+1) * max(1, |b_tilde|+1)^2 because
-    delta is quadratic in b_tilde; with this scaling the neighborhood flagged
-    here covers the one flagged by :func:`is_singular`.
+    The threshold scales ``SINGULARITY_TOL`` by (n-1)/(n+1) * max(1, |b_tilde|+1)^2
+    because delta is quadratic in b_tilde; with this scaling the neighborhood
+    flagged here covers the one flagged by :func:`is_singular`.
     """
-    thr = tol * (cfg.n - 1) / (cfg.n + 1) * max(1.0, abs(cfg.b_tilde) + 1.0) ** 2
+    thr = SINGULARITY_TOL * (cfg.n - 1) / (cfg.n + 1) * max(1.0, abs(cfg.b_tilde) + 1.0) ** 2
     return abs(_delta_factored(cfg)) <= thr
 
 
-def singularity_report(cfg: MatrixConfig, tol: float = SINGULARITY_TOL) -> dict:
-    """Both singularity tests plus the quantities they are based on."""
+def singularity_report(cfg: MatrixConfig) -> dict:
+    """Both tests and what they are based on; ``distance`` answers at any other tolerance."""
     s1, s2 = cfg.singular_points()
     return {
         "singular_points": [s1, s2],
         "distance": min(abs(cfg.b_tilde - s1), abs(cfg.b_tilde - s2)),
         "delta": _delta_factored(cfg),
-        "singular": is_singular(cfg, tol),
-        "delta_test": delta_below_threshold(cfg, tol),
+        "singular": cfg._singular,
+        "delta_test": delta_below_threshold(cfg),
     }
 
 

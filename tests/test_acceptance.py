@@ -162,7 +162,7 @@ def test_criterion_03_singularity_detection():
             sign = 1.0 if b > 0 else -1.0
             for point in (sign, sign * (n - 3) / (n - 1)):
                 cfg = MatrixConfig(n, b, point)
-                if not is_singular(cfg, 1e-10):
+                if not is_singular(cfg):
                     problems.append(("miss", n, b, point))
                 try:
                     reference_inverse(build_matrix(cfg))
@@ -171,7 +171,7 @@ def test_criterion_03_singularity_detection():
                     pass
                 for offset in (1e-6, -1e-6):
                     near = MatrixConfig(n, b, point + offset)
-                    if is_singular(near, 1e-10):
+                    if is_singular(near):
                         problems.append(("false-positive", n, b, point + offset))
                     try:
                         reference_inverse(build_matrix(near))

@@ -245,6 +245,20 @@ class TestSolveFixedPoint:
     def test_grid_spacing(self):
         assert fisher_problem(50, 2, 2.0, 0.5, 1.0).h == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("n", [10.0, np.float64(10)], ids=["float", "float64"])
+    def test_non_integer_grid_size_is_refused(self, n):
+        """A float n equal to the order used to pass here and fail in numpy's array setup."""
+        with pytest.raises(ValueError, match="grid size"):
+            BvpProblem(n=n, length=1.0, k_coef=1.0, nonlinearity="fisher",
+                       cfg=MatrixConfig(10, 2, 2.0))
+
+    def test_numpy_integer_grid_size_is_accepted(self):
+        prob = BvpProblem(n=np.int64(10), length=1.0, k_coef=1.0, nonlinearity="fisher",
+                          cfg=MatrixConfig(10, 2, 2.0))
+        got = solve_fixed_point(prob)
+        want = solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0))
+        assert got.converged and bitwise_equal(got.solution, want.solution)
+
 
 #: (k_coef / -c_hat, max_iter) that end each run converged, at max_iter, or diverged.
 REGIMES = {"converged": (0.8, 200), "max_iter": (2.0, 4), "diverged": (60.0, 200)}

@@ -1,5 +1,6 @@
 """Command-line interface: wrapping, formats, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -119,20 +120,21 @@ class TestReports:
         assert rec["outputs"]["iterations"] <= 2
 
 
-#: Each record subcommand's own options, given before the matrix options, and what its
-#: record echoes for them: every parsed option in the parser's order, defaults included.
+#: Each record subcommand's own options and --chat, given before the matrix options, and
+#: what its record echoes for them: every parsed option in the parser's order, defaults included.
 ECHO_CALLS = {
-    "entry": (["--scaled", "--j", "3", "--i", "2"], {"i": 2, "j": 3, "scaled": True}),
-    "invert": ([], {"scaled": False}),
+    "entry": (["--j", "3", "--i", "2", "--chat", "2.5"], {"chat": 2.5, "i": 2, "j": 3}),
+    "invert": (["--chat", "2.5"], {"chat": 2.5}),
     "trace": ([], {}),
     "rowsum": (["--i", "4"], {"i": 4}),
     "norm": ([], {}),
     "bounds": ([], {}),
     "signs": ([], {}),
-    "singular": (["--tol", "0.001"], {"tol": 0.001}),
-    "solve-bvp": (["--bc-right", "0.25", "--nonlinearity", "fisher", "--k", "1", "--length", "0.5"],
-                  {"length": 0.5, "k": 1.0, "nonlinearity": "fisher", "tol": 1e-10, "max_iter": 10_000,
-                   "bc_left": 0.0, "bc_right": 0.25}),
+    "singular": ([], {}),
+    "solve-bvp": (["--bc-right", "0.25", "--nonlinearity", "fisher", "--k", "1", "--length", "0.5",
+                   "--chat", "2.5"],
+                  {"chat": 2.5, "length": 0.5, "k": 1.0, "nonlinearity": "fisher", "tol": 1e-10,
+                   "max_iter": 10_000, "bc_left": 0.0, "bc_right": 0.25}),
 }
 
 
@@ -144,14 +146,80 @@ def test_inputs_echo_every_parsed_option(capsys, tmp_path, command, fmt):
     extra, echoed = ECHO_CALLS[command]
     path = tmp_path / "record"
     code, out, _ = run_cli(capsys, command, *extra, "--format", fmt, "--out", str(path),
-                           "--chat", "2.5", "--btilde", "-3", "--b", "2", "--n", "8")
+                           "--btilde", "-3", "--b", "2", "--n", "8")
     assert code == 0 and path.read_text() == out
-    want = {"n": 8, "b": 2, "btilde": -3.0, "chat": 2.5} | echoed
+    want = {"n": 8, "b": 2, "btilde": -3.0} | echoed
     if fmt == "json":
         assert list(strict_json(out)["inputs"].items()) == list(want.items())
     else:
         got = [line for line in out.splitlines() if line.startswith("inputs.")]
         assert got == [f"inputs.{key},{cli._fmt(value)}" for key, value in want.items()]
+
+
+#: A call of each subcommand, and one alternate value for each option it parses other than
+#: --format and --out.  argparse lets the alternate, given last, override the call's value.
+_MATRIX = ["--n", "8", "--b", "2", "--btilde", "3"]
+OPTION_CALLS = {
+    "entry": (["--n", "8", "--b", "2", "--btilde", "3", "--i", "2", "--j", "3"],
+              {"n": "9", "b": "-2", "btilde": "0.5", "chat": "2.5", "i": "1", "j": "1"}),
+    "invert": (_MATRIX, {"n": "9", "b": "-2", "btilde": "0.5", "chat": "2.5"}),
+    "trace": (_MATRIX, {"n": "9", "b": "-2", "btilde": "0.5"}),
+    "rowsum": (_MATRIX, {"n": "9", "b": "-2", "btilde": "0.5", "i": "2"}),
+    "norm": (_MATRIX, {"n": "9", "b": "-2", "btilde": "0.5"}),
+    "bounds": (_MATRIX, {"n": "9", "b": "-2", "btilde": "0.5"}),
+    "signs": (["--n", "6", "--b", "2", "--btilde", "-1"], {"n": "7", "b": "-2", "btilde": "0"}),
+    "singular": (["--n", "5", "--b", "2", "--btilde", "0.5"], {"n": "6", "b": "-2", "btilde": "3"}),
+    "solve-bvp": (["--n", "10", "--b", "2", "--btilde", "2", "--length", "0.5", "--k", "1",
+                   "--nonlinearity", "fisher"],
+                  {"n": "12", "b": "-2", "btilde": "3", "chat": "2.5", "length": "1", "k": "2",
+                   "nonlinearity": "bratu", "tol": "1e-3", "max_iter": "2", "bc_left": "0.5",
+                   "bc_right": "0.5"}),
+    "reproduce": (["fig2_table"], {"table_id": "fig3_table"}),
+}
+
+
+def test_option_table_covers_the_parser():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {command: sorted(action.dest for action in sub._actions
+                              if action.dest not in ("help", "format", "out"))
+              for command, sub in commands.items()}
+    assert parsed == {command: sorted(alternates) for command, (_, alternates) in OPTION_CALLS.items()}
+
+
+def _result(capsys, argv):
+    """Exit code and ``outputs`` of a call; a failed call's stdout, and all of ``reproduce``'s."""
+    code, out, _ = run_cli(capsys, *argv)
+    return code, out if code or argv[0] == "reproduce" else strict_json(out)["outputs"]
+
+
+@pytest.mark.parametrize("command, dest", [
+    pytest.param(command, dest, id=f"{command}-{dest}")
+    for command, (_, alternates) in OPTION_CALLS.items() for dest in alternates])
+def test_every_option_changes_the_result(capsys, command, dest):
+    """No option is parsed and then ignored: its alternate value changes ``outputs`` or the
+    exit code."""
+    base, alternates = OPTION_CALLS[command]
+    value = alternates[dest]
+    changed = [value] if dest == "table_id" else [*base, "--" + dest.replace("_", "-"), value]
+    assert _result(capsys, [command, *base]) != _result(capsys, [command, *changed])
+
+
+@pytest.mark.parametrize("b", [2, -2])
+@pytest.mark.parametrize("n", [5, 13])
+def test_singular_answers_as_trace_refuses(capsys, n, b):
+    """``singular`` says true exactly where ``trace`` refuses the configuration with exit 3:
+    within 1e-10 of either singular corner, so at offsets 0 and +-5e-11, not at +-2e-10."""
+    sign = 1 if b > 0 else -1
+    seen = []
+    for point in (sign * 1.0, sign * (n - 3) / (n - 1)):
+        for offset in (0.0, 5e-11, -5e-11, 2e-10, -2e-10):
+            mat = ["--n", str(n), "--b", str(b), "--btilde", repr(point + offset)]
+            _, out, _ = run_cli(capsys, "singular", *mat)
+            singular = strict_json(out)["outputs"]["singular"]
+            assert singular == (run_cli(capsys, "trace", *mat)[0] == 3), mat
+            seen.append(singular)
+    assert seen == [True, True, True, False, False] * 2
 
 
 class TestReproduce:
@@ -309,9 +377,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_positive_or_non_finite_tol_is_2(self, capsys, tol):
-        """A NaN tol is not positive; an infinite one is accepted but cannot be echoed."""
-        code, out, err = run_cli(capsys, "singular", "--n", "10", "--b", "2", "--btilde", "1",
-                                 "--tol", tol)
+        """A NaN tol is not positive; an infinite one stops the solve after one step but
+        cannot be echoed."""
+        code, out, err = run_cli(capsys, *_BVP, "--tol", tol)
         assert (code, out) == (2, "")
         assert strict_json(err)["error"]["type"] == "ValueError"
 
@@ -331,7 +399,7 @@ class TestExitCodes:
         ["bounds", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["invert", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["entry", "--n", "8", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--chat", "0"],
-        ["invert", "--n", "8", "--b", "2", "--btilde", "3", "--scaled", "--chat", "1e-310"],
+        ["invert", "--n", "8", "--b", "2", "--btilde", "3", "--chat", "1e-310"],
         [*_BVP, "--chat", "1e-320"],
         [*_BVP, "--length", "1e-300"],
         [*_BVP, "--length", "1e-170", "--bc-left", "0.5"],
@@ -477,7 +545,7 @@ SCALAR_CALLS = [
     pytest.param(["entry", "--n", "40", "--b", "2", "--btilde", "0.95", "--i", "3", "--j", "7"], 0,
                  id="entry"),
     pytest.param(["entry", "--n", "40", "--b", "-2", "--btilde", "-2.5", "--i", "40", "--j", "1",
-                  "--scaled", "--chat", "2.5", "--format", "csv"], 0, id="entry-csv"),
+                  "--chat", "2.5", "--format", "csv"], 0, id="entry-csv"),
     pytest.param(["trace", "--n", "40", "--b", "-2", "--btilde", "3"], 0, id="trace"),
     pytest.param(["singular", "--n", "40", "--b", "2", "--btilde", "1"], 0, id="singular"),
     pytest.param(["rowsum", "--n", "40", "--b", "-2", "--btilde", "0.95", "--i", "17"], 0,

@@ -232,6 +232,13 @@ class TestMatrixConfig:
         assert bitwise_equal(assemble_inverse(cfg, scaled=True).entries,
                              assemble_inverse(twin, scaled=True).entries)
 
+    @pytest.mark.parametrize("b, want", [(2.0, 2), (np.float32(-2), -2), (np.int64(2), 2)],
+                             ids=["float", "float32", "int64"])
+    def test_b_is_stored_as_int(self, b, want):
+        cfg = MatrixConfig(10, b, 3.0)
+        assert type(cfg.b) is int and cfg.b == want
+        assert repr(cfg) == f"MatrixConfig(n=10, b={want}, b_tilde=3.0, c_hat=-1.0)"
+
     def test_repr_names_the_four_fields(self):
         assert repr(MatrixConfig(10, 2, 5.93)) == "MatrixConfig(n=10, b=2, b_tilde=5.93, c_hat=-1.0)"
         assert repr(MatrixConfig(n=np.int64(7), b=-2, b_tilde=-0.0, c_hat=2.5)) == (
@@ -323,18 +330,13 @@ class TestSingularity:
     )
     def test_fires_at_singular_values(self, n, b, bt):
         cfg = MatrixConfig(n, b, bt)
-        assert is_singular(cfg, 1e-12)
-        assert delta_below_threshold(cfg, 1e-12)
+        assert is_singular(cfg)
+        assert delta_below_threshold(cfg)
 
     def test_no_fire_away_from_singular_values(self):
         cfg = MatrixConfig(5, 2, 0.5 + 1e-6)
-        assert not is_singular(cfg, 1e-10)
-        assert not delta_below_threshold(cfg, 1e-10)
-
-    def test_tol_validation(self):
-        for tol in (0.0, -1e-10, float("nan")):
-            with pytest.raises(ValueError):
-                is_singular(MatrixConfig(5, 2, 0.0), tol=tol)
+        assert not is_singular(cfg)
+        assert not delta_below_threshold(cfg)
 
 
 class TestNearToeplitzEntry:
@@ -731,7 +733,7 @@ class TestInverseSolver:
 )
 def test_residual_gate_property(n, b, bt, c_hat, seed, shape):
     cfg = MatrixConfig(n, b, bt, c_hat)
-    if is_singular(cfg, tol=1e-9):
+    if singularity_report(cfg)["distance"] <= 1e-9:
         return
     x = solver_rhs(n, np.random.default_rng(seed))[shape]
     y = _inverse_solver(cfg, scale=1.0 / -c_hat)(x)

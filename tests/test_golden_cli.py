@@ -43,13 +43,12 @@ def _calls() -> list[list[str]]:
         calls.append(["solve-bvp", "--n", str(n), "--b", str(b), "--btilde", bt, "--length", length,
                       "--k", k, "--nonlinearity", "fisher", "--format", fmt])
     calls += [
-        ["entry", "--n", "8", "--b", "2", "--btilde", "0.95", "--i", "2", "--j", "7", "--scaled",
-         "--chat", "2.5"],
-        ["entry", "--n", "13", "--b", "-2", "--btilde", "-2.5", "--i", "13", "--j", "4", "--scaled",
-         "--chat", "2.5", "--format", "csv"],
+        ["entry", "--n", "8", "--b", "2", "--btilde", "0.95", "--i", "2", "--j", "7", "--chat", "2.5"],
+        ["entry", "--n", "13", "--b", "-2", "--btilde", "-2.5", "--i", "13", "--j", "4", "--chat", "2.5",
+         "--format", "csv"],
         ["entry", "--n", "8", "--b", "-2", "--btilde", "-2", "--i", "5", "--j", "2"],
         ["entry", "--n", "13", "--b", "2", "--btilde", "2", "--i", "1", "--j", "13", "--format", "csv"],
-        ["invert", "--n", "8", "--b", "-2", "--btilde", "0.95", "--scaled", "--chat", "2.5"],
+        ["invert", "--n", "8", "--b", "-2", "--btilde", "0.95", "--chat", "2.5"],
         ["rowsum", "--n", "13", "--b", "2", "--btilde", "0.95", "--i", "5"],
         ["rowsum", "--n", "8", "--b", "-2", "--btilde", "-0.0", "--i", "8", "--format", "csv"],
         ["rowsum", "--n", "8", "--b", "-2", "--btilde", "3"],
