@@ -1,11 +1,10 @@
 """Fixed-point solver for u'' = f(u) discretized on a uniform interior grid.
 
-Central differences turn the two-point boundary-value problem into the
-nonlinear system  A u = h^2 f(u) + boundary corrections, where A is the scaled
-corner-perturbed tridiagonal operator.  The solver runs the substitution
-iteration u <- A^{-1} (h^2 f(u) + bc) and reports the observed contraction
-rate next to the rate predicted from the infinity-norm upper bound:
-h^2 * ||A^{-1}|| * L_c, with L_c the Lipschitz constant of f on [0, 1].
+Central differences turn the two-point boundary-value problem into the nonlinear system
+-c_hat A u = h^2 f(u) + boundary corrections, with A the normalized corner-perturbed
+operator.  The solver runs the substitution iteration u <- (-c_hat A)^{-1} (h^2 f(u) + bc)
+and reports the observed contraction rate next to the rate predicted from the infinity-norm
+upper bound: h^2 * ||A^{-1}|| * L_c / |c_hat|, with L_c the Lipschitz constant of f on [0, 1].
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import upper_bound
-from .config import MatrixConfig, require_nonsingular
+from .config import MatrixConfig, _c_hat, require_nonsingular
 from .core import _inverse_solver
 from .errors import DivergenceError
 
@@ -32,11 +31,11 @@ class BvpProblem:
     """Discretized problem: n interior points on (0, length), spacing h = length/n.
 
     nonlinearity 'fisher' means f(u) = k*u*(1-u); 'bratu' means f(u) = k*exp(u).
-    cfg describes the tridiagonal operator including its corner value; bc_left
-    and bc_right are Dirichlet values entering the right-hand side.  length, k_coef
-    and the boundary values must be finite, and h^2/|c_hat| must lie in
-    [2**-1022, inf), so that the solver's weight h^2/-c_hat and its inverse are
-    finite and nonzero; anything else raises ValueError.
+    cfg is the normalized operator A and c_hat (default -1) scales it to -c_hat A; bc_left
+    and bc_right are Dirichlet values entering the right-hand side.  2**-400 <= |c_hat| <=
+    2**400 (stored as a float), length, k_coef and the boundary values must be finite, and
+    h^2/|c_hat| must lie in [2**-1022, inf), so that the solver's weight h^2/-c_hat and its
+    inverse are finite and nonzero; anything else raises ValueError.
     """
 
     n: int
@@ -46,14 +45,16 @@ class BvpProblem:
     cfg: MatrixConfig
     bc_left: float = 0.0
     bc_right: float = 0.0
+    c_hat: float = -1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "c_hat", _c_hat(self.c_hat))
         if not isinstance(self.n, (int, np.integer)) or self.n != self.cfg.n:
             raise ValueError(f"grid size {self.n!r} is not the operator order {self.cfg.n}")
         if not 0 < self.length < math.inf:
             raise ValueError(f"domain length must be positive and finite, got {self.length}")
         # h*h cannot raise where h**2 can; the bound keeps h^2/|c_hat| and its inverse finite.
-        if not 2.0**-1022 <= self.h * self.h / abs(self.cfg.c_hat) < math.inf:
+        if not 2.0**-1022 <= self.h * self.h / abs(self.c_hat) < math.inf:
             raise ValueError(f"h^2/|c_hat| must be finite and >= 2**-1022, got h = {self.h!r}")
         for name in ("k_coef", "bc_left", "bc_right"):
             if not math.isfinite(getattr(self, name)):
@@ -97,7 +98,7 @@ def expected_rate(prob: BvpProblem) -> float:
     """
     u = upper_bound(prob.cfg).value
     lc = abs(prob.k_coef) * (1.0 if prob.nonlinearity == FISHER else math.e)
-    return prob.h**2 * u * lc / abs(prob.cfg.c_hat)
+    return prob.h**2 * u * lc / abs(prob.c_hat)
 
 
 def _initial_iterate(prob: BvpProblem) -> np.ndarray:
@@ -151,10 +152,10 @@ def solve_fixed_point(
         # The scaled operator -c_hat * A couples the boundary nodes through its
         # off-diagonal c_hat; moved to the right-hand side they give -c_hat * bc,
         # so g = A^{-1} bc.  The solver carries h^2 / -c_hat, undone on its input.
-        solve = _inverse_solver(prob.cfg, scale=h2 / -prob.cfg.c_hat)
+        solve = _inverse_solver(prob.cfg, scale=h2 / -prob.c_hat)
         g = np.zeros(prob.n)
         g[0], g[-1] = prob.bc_left, prob.bc_right
-        g *= -prob.cfg.c_hat / h2
+        g *= -prob.c_hat / h2
         solve(g, out=g)
 
         exp_rate = expected_rate(prob)

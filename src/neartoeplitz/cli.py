@@ -22,7 +22,7 @@ from .analysis import (
     exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
     upper_bound,
 )
-from .config import TABLE_IDS, MatrixConfig, singularity_report
+from .config import TABLE_IDS, MatrixConfig, _c_hat, singularity_report
 from .core import assemble_inverse, near_toeplitz_inverse_entry
 from .errors import DivergenceError, SingularMatrixError
 
@@ -87,17 +87,19 @@ def _write(text: str, args) -> None:
 
 
 def _cfg(args) -> MatrixConfig:
-    return MatrixConfig(n=args.n, b=args.b, b_tilde=args.btilde, c_hat=getattr(args, "chat", -1.0))
+    return MatrixConfig(n=args.n, b=args.b, b_tilde=args.btilde)
 
 
 def cmd_entry(args) -> str:
-    value = near_toeplitz_inverse_entry(_cfg(args), args.i, args.j, scaled=True)
-    return _report(args, {"value": value})
+    cfg, c_hat = _cfg(args), _c_hat(args.chat)
+    return _report(args, {"value": near_toeplitz_inverse_entry(cfg, args.i, args.j) / -c_hat})
 
 
 def cmd_invert(args) -> str:
-    inv = assemble_inverse(_cfg(args), scaled=True)
-    return _report(args, {"n": args.n, "source": inv.source, "entries": inv.entries})
+    cfg, c_hat = _cfg(args), _c_hat(args.chat)
+    entries, source = assemble_inverse(cfg)
+    entries /= -c_hat
+    return _report(args, {"n": args.n, "source": source, "entries": entries})
 
 
 def cmd_trace(args) -> str:
@@ -139,7 +141,7 @@ def cmd_solve_bvp(args) -> str:
 
     prob = BvpProblem(
         n=args.n, length=args.length, k_coef=args.k, nonlinearity=args.nonlinearity,
-        cfg=_cfg(args), bc_left=args.bc_left, bc_right=args.bc_right,
+        cfg=_cfg(args), bc_left=args.bc_left, bc_right=args.bc_right, c_hat=args.chat,
     )
     res = solve_fixed_point(prob, tol=args.tol, max_iter=args.max_iter)
     outputs = {

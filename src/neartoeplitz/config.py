@@ -2,11 +2,11 @@
 
 The library works on the normalized operator: an n x n symmetric tridiagonal
 matrix with constant diagonal ``b`` (|b| = 2), off-diagonals -1, and both
-corner diagonal entries replaced by ``b_tilde``.  The scaled variant multiplies
-the whole matrix by ``-c_hat``; with the default ``c_hat = -1`` the two
-coincide.  A ``MatrixConfig`` derives its b = +2 frame (the mirrored corner, r, 1 + r,
-the generators' denominator D and the singular flag) once, at construction, and the
-closed forms read those fields.
+corner diagonal entries replaced by ``b_tilde``; (n, b, b_tilde) fix it.  A
+``MatrixConfig`` derives its b = +2 frame (the mirrored corner, r, 1 + r, the generators'
+denominator D and the singular flag) once, at construction, and the closed forms read
+those fields.  The scaling ``c_hat`` of the unnormalized system -c_hat A belongs to the
+BVP and to the CLI's ``entry`` and ``invert``, which check it with ``_c_hat``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _MAX_DENSE_ORDER = 2**14
 #: or bound term overflows at any admitted order.
 _MAX_CORNER = 2.0**400
 #: Largest |c_hat| and 1/|c_hat|: outside the singular neighborhoods an entry stays far
-#: below 2**100 at any admitted order, so dividing it by c_hat stays finite and nonzero.
+#: below 2**100 at any admitted order, so dividing it by -c_hat stays finite and nonzero.
 _MAX_SCALE = 2.0**400
 
 
@@ -46,18 +46,23 @@ def _real(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _c_hat(value) -> float:
+    """The scaling c_hat of -c_hat A as a float; ValueError unless 2**-400 <= |c_hat| <= 2**400."""
+    scale = _real(value)
+    if not 1 / _MAX_SCALE <= abs(scale) <= _MAX_SCALE:
+        raise ValueError(f"scaling |c_hat| must lie in [2**-400, 2**400], got {value!r}")
+    return scale
+
+
 class MatrixConfig:
-    """The quadruple (n, b, b_tilde, c_hat) defining the operator, and its b = +2 frame.
+    """The triple (n, b, b_tilde) defining the normalized operator, and its b = +2 frame.
 
     n       : matrix order, 4..2**53; any integer type (``operator.index``)
     b       : Toeplitz diagonal after normalization, +2 or -2 of any number type; stored as an int
     b_tilde : corner diagonal after normalization, |b_tilde| <= 2**400 (beyond it the
               closed forms overflow; NaN and infinities are refused too); stored as a float
-    c_hat   : scaling of the unnormalized matrix, 2**-400 <= |c_hat| <= 2**400 (default -1,
-              i.e. the scaled and normalized matrices are identical; NaN, infinities
-              and 0 are refused); stored as a float
 
-    Immutable; ``==``, ``hash``, ``repr``, ``copy`` and ``pickle`` see these four fields only.
+    Immutable; ``==``, ``hash``, ``repr``, ``copy`` and ``pickle`` see these three fields only.
     The frame is derived from them once: A_{-2}(b_tilde)^{-1} = -S A_{+2}(-b_tilde)^{-1} S
     with S = diag((-1)^i), so the closed forms work at b = +2 on ``_bt`` = sgn(b) b_tilde,
     with ``_r`` = _bt - 2 (the same float as 2 (b_tilde - b) / b, since scaling by 2 and
@@ -67,9 +72,9 @@ class MatrixConfig:
     ``SINGULARITY_TOL`` of 1 or (n-3)/(n-1); negation is exact, so either sign tests the same.
     """
 
-    __slots__ = ("n", "b", "b_tilde", "c_hat", "_bt", "_flip", "_r", "_r1", "_d", "_singular")
+    __slots__ = ("n", "b", "b_tilde", "_bt", "_flip", "_r", "_r1", "_d", "_singular")
 
-    def __init__(self, n: int, b: int, b_tilde: float, c_hat: float = -1.0):
+    def __init__(self, n: int, b: int, b_tilde: float):
         try:
             order = operator.index(n)
         except TypeError:
@@ -78,21 +83,19 @@ class MatrixConfig:
             raise ValueError(f"matrix order must be an integer in 4..2**53, got {n!r}")
         if b not in (2, -2):
             raise ValueError(f"diagonal b must be +2 or -2, got {b!r}")
-        corner, scale = _real(b_tilde), _real(c_hat)
+        corner = _real(b_tilde)
         if not abs(corner) <= _MAX_CORNER:
             raise ValueError(f"corner value must lie in [-2**400, 2**400], got {b_tilde!r}")
-        if not 1 / _MAX_SCALE <= abs(scale) <= _MAX_SCALE:
-            raise ValueError(f"scaling |c_hat| must lie in [2**-400, 2**400], got {c_hat!r}")
         bt, flip = (-corner, True) if b < 0 else (corner, False)
         r = bt - 2.0
-        frame = (order, -2 if flip else 2, corner, scale, bt, flip, r, 1.0 + r,
+        frame = (order, -2 if flip else 2, corner, bt, flip, r, 1.0 + r,
                  (1.0 + r) * (order + 1 + r * (order - 1)),
                  min(abs(bt - 1.0), abs(bt - (order - 3) / (order - 1))) <= SINGULARITY_TOL)
         for name, value in zip(self.__slots__, frame):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return self.n, self.b, self.b_tilde, self.c_hat
+        return self.n, self.b, self.b_tilde
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"MatrixConfig is immutable: cannot set or delete {name!r}")
@@ -108,7 +111,7 @@ class MatrixConfig:
         return hash(self._fields())
 
     def __repr__(self):
-        return "MatrixConfig(n={!r}, b={!r}, b_tilde={!r}, c_hat={!r})".format(*self._fields())
+        return "MatrixConfig(n={!r}, b={!r}, b_tilde={!r})".format(*self._fields())
 
     def __reduce__(self):
         return MatrixConfig, self._fields()

@@ -39,18 +39,15 @@ def _parity(i):
     return 1.0 - 2.0 * (i & 1)
 
 
-def near_toeplitz_inverse_entry(
-    cfg: MatrixConfig, i: int, j: int, scaled: bool = False
-) -> float:
-    """Entry (i, j) of the inverse of the corner-perturbed matrix; b_tilde = b is Toeplitz.
+def near_toeplitz_inverse_entry(cfg: MatrixConfig, i: int, j: int) -> float:
+    """Entry (i, j) of the inverse of the normalized matrix; b_tilde = b is Toeplitz.
 
     With r = sgn(b)*b_tilde - 2 = 2*(b_tilde - b)/b, the lower-triangle entry is
 
         (2/b)^(i+1-j) * (j*(1+r) - r) * ((n+1-i)*(1+r) - r)
                       / ((1+r) * (n+1 + r*(n-1))).
 
-    ``scaled=True`` returns the entry of the inverse of the -c_hat multiple
-    of the matrix, i.e. divides by -c_hat.
+    The inverse of -c_hat A is this divided by -c_hat, as the CLI's ``entry`` prints it.
 
     Raises SingularMatrixError for singular configurations and IndexError for
     indices outside 1..n.
@@ -66,8 +63,6 @@ def near_toeplitz_inverse_entry(
     value = (j * r1 - r) * ((n + 1 - i) * r1 - r) / cfg._d
     if cfg._flip and (i + 1 - j) % 2 == 1:
         value = -value
-    if scaled:
-        value /= -cfg.c_hat
     return value
 
 
@@ -195,7 +190,7 @@ def _empty_square(n: int) -> np.ndarray:
     return np.frombuffer(buf).reshape(n, n)
 
 
-def assemble_inverse(cfg: MatrixConfig, scaled: bool = False) -> InverseMatrix:
+def assemble_inverse(cfg: MatrixConfig) -> InverseMatrix:
     """Materialize the full inverse: the top ceil(n/2) rows from ``_bands``, the rest reversed.
 
     Exactly symmetric and centrosymmetric with no -0.0; n > 2**14 raises DenseSizeError.
@@ -206,7 +201,5 @@ def assemble_inverse(cfg: MatrixConfig, scaled: bool = False) -> InverseMatrix:
     entries = _empty_square(n)
     for _ in _bands(cfg, entries):
         pass
-    if scaled:
-        entries[:h] /= -cfg.c_hat
     entries[h:] = entries[: n - h][::-1, ::-1]
     return InverseMatrix(entries=entries, source=CLOSED_FORM)

@@ -31,7 +31,7 @@ class DenseMatrix:
 def build_matrix(cfg: MatrixConfig) -> DenseMatrix:
     """Place b on the diagonal, -1 off it, b_tilde at both corners; n > 2**14 raises DenseSizeError.
 
-    The scaled matrix of the same config is ``-cfg.c_hat * build_matrix(cfg).data``.
+    The scaled matrix -c_hat A of a BvpProblem is ``-prob.c_hat * build_matrix(prob.cfg).data``.
     """
     n = cfg.n
     require_dense_order(n)

@@ -111,15 +111,15 @@ def fit_printed_corner(n: int, b: int, bt: float, published_norm: float) -> floa
     return min(candidates, key=lambda c: abs(c[1]))[0]
 
 
-def banded_lu_solve(cfg, x):
-    """Banded LU of the scaled operator, for one or more right-hand-side columns.
+def banded_lu_solve(cfg, x, c_hat=-1.0):
+    """Banded LU of the scaled operator -c_hat A, for one or more right-hand-side columns.
 
     This is the per-step solve the fixed-point iteration used before its
     factored O(n) solve; scipy is a test-only dependency.
     """
     from scipy.linalg import solve_banded
 
-    n, s = cfg.n, -cfg.c_hat
+    n, s = cfg.n, -c_hat
     ab = np.zeros((3, n))
     ab[0, 1:] = ab[2, :-1] = -s
     ab[1, :] = cfg.b * s
@@ -201,10 +201,10 @@ def allocating_fixed_point(prob, u0=None, tol=1e-10, max_iter=10_000):
         u = np.array(u0, dtype=float)
 
     h2 = prob.h**2
-    solve = allocating_inverse_solver(prob.cfg, scale=h2 / -prob.cfg.c_hat)
+    solve = allocating_inverse_solver(prob.cfg, scale=h2 / -prob.c_hat)
     bc = np.zeros(prob.n)
     bc[0], bc[-1] = prob.bc_left, prob.bc_right
-    g = solve(bc * (-prob.cfg.c_hat / h2))
+    g = solve(bc * (-prob.c_hat / h2))
 
     exp_rate = expected_rate(prob)
     steps = []
@@ -321,13 +321,10 @@ def grid_norm(cfg):
     return float(np.abs(index_grid(cfg)).sum(axis=1).max())
 
 
-def tril_mirror_assembly(cfg, scaled=False):
+def tril_mirror_assembly(cfg):
     """``index_grid`` mirrored as tril(vals) + tril(vals, -1).T, the former assembly."""
     vals = index_grid(cfg)
-    entries = np.tril(vals) + np.tril(vals, -1).T
-    if scaled:
-        entries = entries / (-cfg.c_hat)
-    return entries
+    return np.tril(vals) + np.tril(vals, -1).T
 
 
 def masked_gauss_jordan(m):

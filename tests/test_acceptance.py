@@ -349,7 +349,8 @@ def test_criterion_10_property_suite():
         prob = BvpProblem(n=n, length=1.0, k_coef=2.0, nonlinearity="fisher", cfg=cfg)
         u0 = _initial_iterate(prob)
         stepped = solve_fixed_point(prob, u0=u0, tol=np.inf).solution
-        explicit = assemble_inverse(cfg, scaled=True).entries @ (prob.h**2 * nonlinearity(prob, u0))
+        inverse = assemble_inverse(cfg).entries / -prob.c_hat
+        explicit = inverse @ (prob.h**2 * nonlinearity(prob, u0))
         if np.max(np.abs(stepped - explicit)) > 1e-10:
             problems.append(("solver-path", n, b, bt))
 

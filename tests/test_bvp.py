@@ -58,8 +58,8 @@ class TestExpectedRate:
 
     def test_scaled_system(self):
         base = expected_rate(fisher_problem(20, 2, 2.0, 1.0, 1.0))
-        scaled_cfg = MatrixConfig(20, 2, 2.0, c_hat=-4.0)
-        prob = BvpProblem(n=20, length=1.0, k_coef=1.0, nonlinearity="fisher", cfg=scaled_cfg)
+        prob = BvpProblem(n=20, length=1.0, k_coef=1.0, nonlinearity="fisher",
+                          cfg=MatrixConfig(20, 2, 2.0), c_hat=-4.0)
         assert expected_rate(prob) == pytest.approx(base / 4.0, rel=1e-14)
 
 
@@ -121,10 +121,10 @@ class TestSolveFixedPoint:
                               cfg=cfg, bc_left=bc, bc_right=-bc)
             u0 = _initial_iterate(prob)
             one_step = solve_fixed_point(prob, u0=u0, tol=np.inf)
-            inv = assemble_inverse(cfg, scaled=True).entries
+            inv = assemble_inverse(cfg).entries / -prob.c_hat
             rhs_bc = np.zeros(n)
-            rhs_bc[0] = -cfg.c_hat * prob.bc_left
-            rhs_bc[-1] = -cfg.c_hat * prob.bc_right
+            rhs_bc[0] = -prob.c_hat * prob.bc_left
+            rhs_bc[-1] = -prob.c_hat * prob.bc_right
             explicit = inv @ (prob.h**2 * nonlinearity(prob, u0) + rhs_bc)
             assert np.max(np.abs(one_step.solution - explicit)) <= 1e-10
 
@@ -225,9 +225,9 @@ class TestSolveFixedPoint:
     def test_matches_banded_lu_iteration(self, n, b, bt, length, k, kind, c_hat, bcs):
         # The banded-LU step the factored solve replaced, kept as the reference.
         pytest.importorskip("scipy.linalg")
-        cfg = MatrixConfig(n, b, bt, c_hat)
+        cfg = MatrixConfig(n, b, bt)
         prob = BvpProblem(n=n, length=length, k_coef=k, nonlinearity=kind, cfg=cfg,
-                          bc_left=bcs[0], bc_right=bcs[1])
+                          bc_left=bcs[0], bc_right=bcs[1], c_hat=c_hat)
         res = solve_fixed_point(prob)
         rhs_bc = np.zeros(n)
         rhs_bc[0], rhs_bc[-1] = -c_hat * bcs[0], -c_hat * bcs[1]
@@ -237,7 +237,7 @@ class TestSolveFixedPoint:
         kappa = (max(abs(b), abs(bt)) + 2.0) * upper_bound(cfg).value
         tol = 2 * 64 * np.finfo(float).eps * kappa * max(0.5, np.abs(res.solution).max())
         for step in res.steps:
-            u_next = banded_lu_solve(cfg, prob.h**2 * nonlinearity(prob, u) + rhs_bc)
+            u_next = banded_lu_solve(cfg, prob.h**2 * nonlinearity(prob, u) + rhs_bc, c_hat)
             assert abs(np.abs(u_next - u).max() - step) <= 2 * tol
             u = u_next
         assert np.abs(res.solution - u).max() <= tol
@@ -258,6 +258,54 @@ class TestSolveFixedPoint:
         got = solve_fixed_point(prob)
         want = solve_fixed_point(fisher_problem(10, 2, 2.0, 1.0, 1.0))
         assert got.converged and bitwise_equal(got.solution, want.solution)
+
+
+class TestChat:
+    """c_hat, the scaling of -c_hat A, is the problem's last field and its first check."""
+
+    def test_positional_fields_keep_their_places(self):
+        cfg = MatrixConfig(10, 2, 2.0)
+        names = [f.name for f in dataclasses.fields(BvpProblem)]
+        assert names == ["n", "length", "k_coef", "nonlinearity", "cfg", "bc_left", "bc_right",
+                         "c_hat"]
+        assert BvpProblem(10, 1.0, 1.0, "fisher", cfg).c_hat == -1.0
+        assert BvpProblem(10, 1.0, 1.0, "fisher", cfg, 0.1, 0.2, 2.5).c_hat == 2.5
+
+    def test_chat_is_checked_first(self):
+        """A bad c_hat is reported before a bad grid size, length or nonlinearity."""
+        with pytest.raises(ValueError, match=r"\|c_hat\| must lie in \[2\*\*-400, 2\*\*400\], got 0.0"):
+            BvpProblem(n=9, length=-1.0, k_coef=math.nan, nonlinearity="cubic",
+                       cfg=MatrixConfig(10, 2, 2.0), c_hat=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_chat_is_range_checked_as_a_float(self):
+        """A numpy float32 is checked in float64, where 2**-400 does not round to 0; an int
+        beyond the float range gets the range error, a str a TypeError."""
+        def problem(c_hat):
+            return BvpProblem(n=10, length=1.0, k_coef=1.0, nonlinearity="fisher",
+                              cfg=MatrixConfig(10, 2, 3.0), c_hat=c_hat)
+
+        with pytest.raises(ValueError, match=r"c_hat"):
+            problem(np.float32(0.0))
+        assert problem(np.float32(2.0**-126)).c_hat == 2.0**-126
+        for big in (10**400, -10**400):
+            with pytest.raises(ValueError, match=r"2\*\*400"):
+                problem(big)
+        with pytest.raises(TypeError):
+            problem("2.5")
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_numpy_float_chat_is_stored_as_float(self, dtype):
+        """A run equals bit for bit the run of a problem given the same c_hat as a float."""
+        def problem(c_hat):
+            return BvpProblem(n=20, length=1.0, k_coef=2.0, nonlinearity="bratu",
+                              cfg=MatrixConfig(20, -2, 0.3), bc_left=0.1, c_hat=c_hat)
+
+        prob, twin = problem(dtype(-2.5)), problem(float(dtype(-2.5)))
+        assert type(prob.c_hat) is float and prob == twin
+        got, want = solve_fixed_point(prob), solve_fixed_point(twin)
+        assert bitwise_equal(got.solution, want.solution) and got.steps == want.steps
+        assert (got.expected_rate, got.observed_rate) == (want.expected_rate, want.observed_rate)
 
 
 #: (k_coef / -c_hat, max_iter) that end each run converged, at max_iter, or diverged.
@@ -282,7 +330,7 @@ def test_bitwise_equal_to_allocating_loop(b, kind, regime):
     for n, (c_hat, given) in zip((4, 5, 50, 51, 1000, 20001), cases):
         k, max_iter = REGIMES[regime]
         prob = BvpProblem(n=n, length=1.0, k_coef=-k * c_hat, nonlinearity=kind,
-                          cfg=MatrixConfig(n, b, 2.5 * b, c_hat), bc_left=0.1, bc_right=0.3)
+                          cfg=MatrixConfig(n, b, 2.5 * b), bc_left=0.1, bc_right=0.3, c_hat=c_hat)
         u0 = np.linspace(-0.2, 0.6, n) if given else None
         got, message = outcome(solve_fixed_point, prob, u0=u0, max_iter=max_iter)
         want, want_message = outcome(allocating_fixed_point, prob, u0=u0, max_iter=max_iter)

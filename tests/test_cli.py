@@ -9,13 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neartoeplitz
 from neartoeplitz import (
-    MatrixConfig, build_matrix, exact_infinity_norm, trace_inverse, upper_bound,
+    MatrixConfig, assemble_inverse, build_matrix, exact_infinity_norm, is_singular,
+    near_toeplitz_inverse_entry, trace_inverse, upper_bound,
 )
 from neartoeplitz import cli
 from neartoeplitz.cli import main
+
+from helpers import bitwise_equal, regime_corners, tril_mirror_assembly
 
 
 def run_cli(capsys, *argv):
@@ -494,6 +499,78 @@ def test_cli_is_thin_wrapper(capsys):
     got = json.loads(out)["outputs"]["trace"]
     lib = trace_inverse(MatrixConfig(9, -2, -4.5))
     assert got == float(f"{lib:.10g}")
+
+
+def scaled_outputs(command, n, b, bt, c_hat, **extra):
+    """The unrounded outputs of ``entry`` or ``invert`` with ``--chat c_hat``, as they reach
+    the renderer."""
+    args = argparse.Namespace(command=command, n=n, b=b, btilde=bt, chat=c_hat, **extra)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_report", lambda args, outputs, branch=None: outputs)
+        return getattr(cli, f"cmd_{command}")(args)
+
+
+class TestChat:
+    """``entry`` and ``invert`` report for -c_hat A: the library's inverse divided by -c_hat."""
+
+    def test_entry_divides_by_minus_chat(self, capsys):
+        code, out, _ = run_cli(capsys, "entry", "--n", "6", "--b", "2", "--btilde", "3",
+                               "--i", "2", "--j", "2", "--chat", "-4")
+        plain = near_toeplitz_inverse_entry(MatrixConfig(6, 2, 3.0), 2, 2)
+        assert code == 0 and json.loads(out)["outputs"]["value"] == cli._round10(plain / 4.0)
+
+    def test_invert_divides_by_minus_chat(self, capsys):
+        code, out, _ = run_cli(capsys, "invert", "--n", "5", "--b", "2", "--btilde", "3",
+                               "--chat", "-2")
+        cfg = MatrixConfig(5, 2, 3.0)
+        printed = json.loads(out)["outputs"]["entries"]
+        assert code == 0 and printed == cli._round10(assemble_inverse(cfg).entries / 2.0)
+        residual = (build_matrix(cfg).data * 2.0) @ np.array(printed) - np.eye(5)
+        assert np.max(np.abs(residual)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [*range(4, 61), 257])
+    def test_scaled_grid_is_the_mirrored_index_grid_divided(self, n):
+        """Bit for bit, with the signs of zeros: dividing the assembled grid by -c_hat gives
+        the former assembly's tril mirror of the index grid divided by -c_hat."""
+        for b in (2, -2):
+            for bt in regime_corners(n, b):
+                cfg = MatrixConfig(n, b, bt)
+                for c_hat in (2.5, -0.3):
+                    got = scaled_outputs("invert", n, b, bt, c_hat)["entries"]
+                    assert bitwise_equal(got, tril_mirror_assembly(cfg) / -c_hat), (b, bt, c_hat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 60), b=st.sampled_from([2, -2]), data=st.data())
+    def test_scaled_entries_divide_every_entry(self, n, b, data):
+        bt = data.draw(st.one_of(st.floats(-8, 8), st.sampled_from(regime_corners(n, b))).filter(
+            lambda bt: not is_singular(MatrixConfig(n, b, bt))))
+        c_hat = data.draw(st.one_of(st.floats(-4, -0.1), st.floats(0.1, 4)))
+        entries = assemble_inverse(MatrixConfig(n, b, bt)).entries
+        scaled = scaled_outputs("invert", n, b, bt, c_hat)["entries"]
+        assert bitwise_equal(scaled, entries / -c_hat)
+        assert bitwise_equal(scaled, scaled.T) and bitwise_equal(scaled, scaled[::-1, ::-1])
+        i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        value = scaled_outputs("entry", n, b, bt, c_hat, i=i, j=j)["value"]
+        assert value == scaled[i - 1, j - 1]
+
+    @pytest.mark.parametrize("argv", [
+        ["entry", "--i", "2", "--j", "3"], ["invert"],
+        ["solve-bvp", "--length", "1", "--k", "1", "--nonlinearity", "fisher"],
+    ], ids=lambda argv: argv[0])
+    def test_error_precedence(self, capsys, argv):
+        """A bad corner comes before a bad c_hat, and a bad c_hat before a singular corner."""
+        def error(bt, c_hat):
+            code, out, err = run_cli(capsys, argv[0], "--n", "8", "--b", "2", "--btilde", bt,
+                                     *argv[1:], f"--chat={c_hat}")
+            assert out == ""
+            return code, strict_json(err)["error"]["message"]
+
+        code, message = error("1e160", "0")
+        assert code == 2 and message.startswith("corner value must lie in")
+        code, message = error("1", "0")
+        assert code == 2 and message.startswith("scaling |c_hat| must lie in")
+        code, message = error("1", "-1")
+        assert code == 3 and "singular point" in message
 
 
 #: Prints whether any scipy module was imported by the code run before it.

@@ -1,6 +1,7 @@
 """Entry formulas, derived parameters, singularity detection, assembly."""
 
 import copy
+import json
 import math
 import pickle
 import tracemalloc
@@ -30,6 +31,7 @@ from neartoeplitz import (
     upper_bound,
 )
 from neartoeplitz.analysis import _BRANCHES_B2, _BRANCHES_BM2
+from neartoeplitz.cli import main
 from neartoeplitz.config import _MAX_DENSE_ORDER, delta_below_threshold
 from neartoeplitz.core import _inverse_solver
 
@@ -146,8 +148,8 @@ class TestMatrixConfig:
             MatrixConfig(3, 2, 1.5)
         with pytest.raises(ValueError):
             MatrixConfig(5, 1, 1.5)
-        with pytest.raises(ValueError):
-            MatrixConfig(5, 2, 1.5, c_hat=0.0)
+        with pytest.raises(TypeError):  # c_hat belongs to BvpProblem and the CLI
+            MatrixConfig(5, 2, 1.5, c_hat=-1.0)
         with pytest.raises(ValueError):
             MatrixConfig(5, 2, float("nan"))
         with pytest.raises(ValueError):
@@ -177,15 +179,36 @@ class TestMatrixConfig:
 
     @pytest.mark.parametrize("edge", [2.0**-400, 2.0**400])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_chat_range_ends_at_2_400(self, edge, sign):
-        """2**-400 <= |c_hat| <= 2**400 keeps an entry divided by c_hat finite and nonzero."""
-        cfg = MatrixConfig(2**53, 2, 1 + 2e-10, c_hat=sign * edge)
-        assert math.isfinite(near_toeplitz_inverse_entry(cfg, 2**52, 2**52, scaled=True))
-        assert near_toeplitz_inverse_entry(MatrixConfig(8, 2, 0.0, sign * edge), 8, 1, scaled=True)
+    def test_chat_range_ends_at_2_400(self, edge, sign, capsys):
+        """2**-400 <= |c_hat| <= 2**400 keeps an entry divided by -c_hat finite and nonzero.
+
+        The check is ``config._c_hat``, beside the corner range check; ``BvpProblem`` and the
+        CLI's ``entry`` and ``invert`` share it, and ``MatrixConfig`` takes no c_hat."""
+        def cli(*argv):
+            code, out, err = main(list(argv)), *capsys.readouterr()
+            return code, (json.loads(out)["outputs"] if code == 0 else json.loads(err)["error"])
+
+        def problem(c_hat):
+            return BvpProblem(n=8, length=1.0, k_coef=1.0, nonlinearity="fisher",
+                              cfg=MatrixConfig(8, 2, 3.0), c_hat=c_hat)
+
+        c_hat = sign * edge
+        assert problem(c_hat).c_hat == c_hat
+        code, got = cli("entry", "--n", str(2**53), "--b", "2", "--btilde", repr(1 + 2e-10),
+                        "--i", str(2**52), "--j", str(2**52), f"--chat={c_hat!r}")
+        assert code == 0 and math.isfinite(got["value"]) and got["value"] != 0.0
+        code, got = cli("entry", "--n", "8", "--b", "2", "--btilde", "0", "--i", "8", "--j", "1",
+                        f"--chat={c_hat!r}")
+        assert code == 0 and got["value"] != 0.0
+        code, got = cli("invert", "--n", "8", "--b", "2", "--btilde", "3", f"--chat={c_hat!r}")
+        assert code == 0 and np.all(np.array(got["entries"]) != 0.0)
         beyond = math.nextafter(edge, 0.0 if edge < 1 else math.inf)
         for c_hat in (beyond, -beyond, 0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=r"c_hat"):
-                MatrixConfig(8, 2, 3.0, c_hat=c_hat)
+                problem(c_hat)
+            for argv in (["entry", "--i", "8", "--j", "1"], ["invert"]):
+                code, got = cli(*argv, "--n", "8", "--b", "2", "--btilde", "0", f"--chat={c_hat!r}")
+                assert code == 2 and "c_hat" in got["message"], (argv, c_hat)
 
     def test_numpy_integer_order(self):
         cfg = MatrixConfig(np.int64(10), 2, 3.0)
@@ -196,64 +219,58 @@ class TestMatrixConfig:
 
     @pytest.mark.filterwarnings("error")
     def test_float_fields_are_range_checked_as_floats(self):
-        """A numpy float32 is checked in float64, where 2**-400 and 2**400 do not round to 0
-        and inf; an int beyond the float range gets the range error, a str a TypeError."""
-        with pytest.raises(ValueError, match=r"c_hat"):
-            MatrixConfig(10, 2, 3.0, np.float32(0.0))
+        """A numpy float32 is checked in float64, where 2**400 does not round to inf; an int
+        beyond the float range gets the range error, a str a TypeError.  The same holds for
+        c_hat (``test_bvp.TestChat``)."""
         with pytest.raises(ValueError, match=r"2\*\*400"):
             MatrixConfig(10, 2, np.float32("inf"))
         for big in (10**400, -10**400):
             with pytest.raises(ValueError, match=r"2\*\*400"):
                 MatrixConfig(10, 2, big)
-            with pytest.raises(ValueError, match=r"2\*\*400"):
-                MatrixConfig(10, 2, 3.0, big)
         with pytest.raises(TypeError):
             MatrixConfig(10, 2, "3")
-        with pytest.raises(TypeError):
-            MatrixConfig(10, 2, 3.0, "2.5")
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     @pytest.mark.parametrize("b", [2, -2])
     def test_numpy_float_fields_are_stored_as_float(self, dtype, b):
         """Results equal bit for bit those of a config built from the same values as floats."""
-        cfg = MatrixConfig(10, b, dtype(0.3), dtype(2.5))
-        twin = MatrixConfig(10, b, float(dtype(0.3)), float(dtype(2.5)))
-        assert type(cfg.b_tilde) is float and type(cfg.c_hat) is float
+        cfg = MatrixConfig(10, b, dtype(0.3))
+        twin = MatrixConfig(10, b, float(dtype(0.3)))
+        assert type(cfg.b_tilde) is float
         assert cfg == twin and repr(cfg) == repr(twin)
         for c in (cfg, twin):
             assert type(c._r) is float and type(c._d) is float
 
         def results(c):
             ub = upper_bound(c)
-            return [near_toeplitz_inverse_entry(c, 7, 2, scaled=True), trace_inverse(c),
+            return [near_toeplitz_inverse_entry(c, 7, 2), trace_inverse(c),
                     rowsum(c, 4), lower_bound(c), ub.value, *ub.terms.values(), c._r, c._d]
 
         assert [v.hex() for v in results(cfg)] == [v.hex() for v in results(twin)]
-        assert bitwise_equal(assemble_inverse(cfg, scaled=True).entries,
-                             assemble_inverse(twin, scaled=True).entries)
+        assert bitwise_equal(assemble_inverse(cfg).entries, assemble_inverse(twin).entries)
 
     @pytest.mark.parametrize("b, want", [(2.0, 2), (np.float32(-2), -2), (np.int64(2), 2)],
                              ids=["float", "float32", "int64"])
     def test_b_is_stored_as_int(self, b, want):
         cfg = MatrixConfig(10, b, 3.0)
         assert type(cfg.b) is int and cfg.b == want
-        assert repr(cfg) == f"MatrixConfig(n=10, b={want}, b_tilde=3.0, c_hat=-1.0)"
+        assert repr(cfg) == f"MatrixConfig(n=10, b={want}, b_tilde=3.0)"
 
-    def test_repr_names_the_four_fields(self):
-        assert repr(MatrixConfig(10, 2, 5.93)) == "MatrixConfig(n=10, b=2, b_tilde=5.93, c_hat=-1.0)"
-        assert repr(MatrixConfig(n=np.int64(7), b=-2, b_tilde=-0.0, c_hat=2.5)) == (
-            "MatrixConfig(n=7, b=-2, b_tilde=-0.0, c_hat=2.5)")
+    def test_repr_names_the_three_fields(self):
+        assert repr(MatrixConfig(10, 2, 5.93)) == "MatrixConfig(n=10, b=2, b_tilde=5.93)"
+        assert repr(MatrixConfig(n=np.int64(7), b=-2, b_tilde=-0.0)) == (
+            "MatrixConfig(n=7, b=-2, b_tilde=-0.0)")
 
     def test_equal_configs_hash_equal(self):
-        cfg = MatrixConfig(10, -2, 0.3, 2.5)
-        for same in (MatrixConfig(10, -2, 0.3, 2.5), MatrixConfig(np.int64(10), -2, 0.3, c_hat=2.5)):
+        cfg = MatrixConfig(10, -2, 0.3)
+        for same in (MatrixConfig(10, -2, 0.3), MatrixConfig(np.int64(10), -2.0, b_tilde=0.3)):
             assert cfg == same and hash(cfg) == hash(same)
-        assert len({cfg, MatrixConfig(10, -2, 0.3, 2.5), MatrixConfig(10, 2, 0.3, 2.5)}) == 2
-        assert cfg != MatrixConfig(10, -2, 0.3) and cfg != (10, -2, 0.3, 2.5)
+        assert len({cfg, MatrixConfig(10, -2, 0.3), MatrixConfig(10, 2, 0.3)}) == 2
+        assert cfg != MatrixConfig(10, -2, 0.31) and cfg != (10, -2, 0.3)
 
     def test_immutable(self):
         cfg = MatrixConfig(10, 2, 3.0)
-        for name in ("n", "b", "b_tilde", "c_hat", "_r", "_d", "_singular", "extra"):
+        for name in ("n", "b", "b_tilde", "_r", "_d", "_singular", "extra"):
             with pytest.raises(AttributeError):
                 setattr(cfg, name, 1)
             with pytest.raises(AttributeError):
@@ -264,7 +281,7 @@ class TestMatrixConfig:
                                        lambda c: pickle.loads(pickle.dumps(c))],
                              ids=["copy", "deepcopy", "pickle"])
     def test_copy_and_pickle_round_trip(self, clone):
-        for cfg in (MatrixConfig(10, 2, 5.93), MatrixConfig(9, -2, 0.6, 2.5)):
+        for cfg in (MatrixConfig(10, 2, 5.93), MatrixConfig(9, -2, 0.6)):
             twin = clone(cfg)
             assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
             frame = ("_bt", "_flip", "_r", "_r1", "_d", "_singular")
@@ -360,12 +377,6 @@ class TestNearToeplitzEntry:
     def test_index_error(self):
         with pytest.raises(IndexError):
             near_toeplitz_inverse_entry(MatrixConfig(5, 2, 3.0), 6, 1)
-
-    def test_scaled_divides_by_minus_chat(self):
-        cfg = MatrixConfig(6, 2, 3.0, c_hat=-4.0)
-        plain = near_toeplitz_inverse_entry(cfg, 2, 2)
-        scaled = near_toeplitz_inverse_entry(cfg, 2, 2, scaled=True)
-        assert scaled == pytest.approx(plain / 4.0, rel=1e-15)
 
     def test_simplified_form_agrees_for_b2(self):
         for n in (5, 9, 14):
@@ -476,10 +487,10 @@ class TestAssembleInverse:
     def test_mapped_storage_is_bitwise_the_heap_storage(self, monkeypatch):
         from neartoeplitz import core
 
-        cfg = MatrixConfig(37, -2, 0.61, c_hat=-3.0)
-        heap = assemble_inverse(cfg, scaled=True).entries
+        cfg = MatrixConfig(37, -2, 0.61)
+        heap = assemble_inverse(cfg).entries
         monkeypatch.setattr(core, "_MAPPED_BYTES", 0)
-        mapped = assemble_inverse(cfg, scaled=True).entries
+        mapped = assemble_inverse(cfg).entries
         assert bitwise_equal(mapped, heap)
         assert mapped.flags.c_contiguous and mapped.flags.writeable
 
@@ -488,14 +499,6 @@ class TestAssembleInverse:
         a = assemble_inverse(cfg).entries
         b = assemble_inverse(cfg).entries
         assert np.array_equal(a, b)
-
-    def test_scaled_assembly(self):
-        cfg = MatrixConfig(5, 2, 3.0, c_hat=-2.0)
-        plain = assemble_inverse(cfg).entries
-        scaled = assemble_inverse(cfg, scaled=True).entries
-        assert np.allclose(scaled, plain / 2.0, rtol=1e-15)
-        residual = (build_matrix(cfg).data * -cfg.c_hat) @ scaled - np.eye(5)
-        assert np.max(np.abs(residual)) <= 1e-9
 
     def test_singular_rejection(self):
         with pytest.raises(SingularMatrixError):
@@ -529,10 +532,6 @@ class TestGeneratorGrid:
                 assert not np.signbit(entries[entries == 0.0]).any(), (b, bt)
                 for i, j in entry_pairs(n):
                     assert near_toeplitz_inverse_entry(cfg, i, j) == entries[i - 1, j - 1]
-                for c_hat in (2.5, -0.3):
-                    scaled = MatrixConfig(n, b, bt, c_hat=c_hat)
-                    got = assemble_inverse(scaled, scaled=True).entries
-                    assert bitwise_equal(got, tril_mirror_assembly(scaled, scaled=True)), (b, bt)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(4, 300), b=st.sampled_from([2, -2]), data=st.data())
@@ -543,16 +542,12 @@ class TestGeneratorGrid:
                 lambda bt: not is_singular(MatrixConfig(n, b, bt))
             )
         )
-        c_hat = data.draw(st.one_of(st.floats(-4, -0.1), st.floats(0.1, 4)))
-        cfg = MatrixConfig(n, b, bt, c_hat=c_hat)
+        cfg = MatrixConfig(n, b, bt)
         entries = assemble_inverse(cfg).entries
         assert np.array_equal(entries, index_grid(cfg))
         assert not np.signbit(entries[entries == 0.0]).any()
-        scaled = assemble_inverse(cfg, scaled=True).entries
-        assert bitwise_equal(scaled, entries / -c_hat)
-        for e in (entries, scaled):
-            assert bitwise_equal(e, e.T)
-            assert bitwise_equal(e, e[::-1, ::-1])
+        assert bitwise_equal(entries, entries.T)
+        assert bitwise_equal(entries, entries[::-1, ::-1])
 
     def test_signed_zero_corners_give_zero_entries(self):
         # b_tilde = 0 zeroes u_2 and v_{n-1}: the index grid has -0.0 there, the assembly none.
@@ -608,19 +603,19 @@ EPS = np.finfo(float).eps
 RESIDUAL_EPS = 64
 
 
-def apply_scaled_operator(cfg, y):
+def apply_scaled_operator(cfg, c_hat, y):
     """(-c_hat) * A @ y by the three-point stencil, without forming A."""
     out = cfg.b * y
     out[0] = cfg.b_tilde * y[0]
     out[-1] = cfg.b_tilde * y[-1]
     out[:-1] -= y[1:]
     out[1:] -= y[:-1]
-    return -cfg.c_hat * out
+    return -c_hat * out
 
 
-def residual_limit(cfg, y, x):
-    """64 eps * (||A||_inf ||y||_inf + ||x||_inf) for the scaled operator."""
-    op_norm = abs(cfg.c_hat) * (max(abs(cfg.b), abs(cfg.b_tilde)) + 2.0)
+def residual_limit(cfg, c_hat, y, x):
+    """64 eps * (||A||_inf ||y||_inf + ||x||_inf) for the scaled operator -c_hat A."""
+    op_norm = abs(c_hat) * (max(abs(cfg.b), abs(cfg.b_tilde)) + 2.0)
     return RESIDUAL_EPS * EPS * (op_norm * np.abs(y).max() + np.abs(x).max())
 
 
@@ -642,12 +637,12 @@ def solver_rhs(n, rng):
 
 
 def solver_cases(n):
-    """(cfg, rhs list) over both signs; c_hat cycles through -1, 2.5 and -0.25."""
+    """(cfg, c_hat, rhs list) over both signs; c_hat cycles through -1, 2.5 and -0.25."""
     rng = np.random.default_rng(n)
     for b in (2, -2):
         for idx, bt in enumerate(solver_corners(n)):
             c_hat = (-1.0, 2.5, -0.25)[idx % 3]
-            yield MatrixConfig(n, b, bt if b == 2 else -bt, c_hat), solver_rhs(n, rng)
+            yield MatrixConfig(n, b, bt if b == 2 else -bt), c_hat, solver_rhs(n, rng)
 
 
 class TestInverseSolver:
@@ -661,21 +656,21 @@ class TestInverseSolver:
 
     @pytest.mark.parametrize("n", [*range(4, 61), 1000, 100_000])
     def test_residual_gate(self, n):
-        for cfg, rhs in solver_cases(n):
-            solve = _inverse_solver(cfg, scale=1.0 / -cfg.c_hat)
+        for cfg, c_hat, rhs in solver_cases(n):
+            solve = _inverse_solver(cfg, scale=1.0 / -c_hat)
             for x in rhs:
                 y = solve(x)
-                r = np.abs(apply_scaled_operator(cfg, y) - x).max()
-                assert r <= residual_limit(cfg, y, x), (cfg, r)
+                r = np.abs(apply_scaled_operator(cfg, c_hat, y) - x).max()
+                assert r <= residual_limit(cfg, c_hat, y, x), (cfg, c_hat, r)
 
     @pytest.mark.parametrize("n", [4, 5, 7, 16, 33, 60, 150])
     def test_against_oracle(self, n):
         # Both are backward stable, so they agree to 2 * 64 eps * kappa.
-        for cfg, rhs in solver_cases(n):
-            dense = build_matrix(cfg).data * -cfg.c_hat
+        for cfg, c_hat, rhs in solver_cases(n):
+            dense = build_matrix(cfg).data * -c_hat
             inv = reference_inverse(dense).entries
             kappa = np.abs(dense).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
-            solve = _inverse_solver(cfg, scale=1.0 / -cfg.c_hat)
+            solve = _inverse_solver(cfg, scale=1.0 / -c_hat)
             for x in rhs:
                 y, ref = solve(x), inv @ x
                 assert np.abs(y - ref).max() <= 2 * RESIDUAL_EPS * EPS * kappa * np.abs(ref).max()
@@ -684,17 +679,17 @@ class TestInverseSolver:
     def test_against_banded_lu(self, n):
         # ||A^{-1}|| is at most the published upper bound, which gives kappa.
         pytest.importorskip("scipy.linalg")
-        for cfg, rhs in solver_cases(n):
-            op_norm = abs(cfg.c_hat) * (max(abs(cfg.b), abs(cfg.b_tilde)) + 2.0)
-            kappa = op_norm * upper_bound(cfg).value / abs(cfg.c_hat)
-            solve = _inverse_solver(cfg, scale=1.0 / -cfg.c_hat)
-            refs = banded_lu_solve(cfg, np.column_stack(rhs))
+        for cfg, c_hat, rhs in solver_cases(n):
+            op_norm = abs(c_hat) * (max(abs(cfg.b), abs(cfg.b_tilde)) + 2.0)
+            kappa = op_norm * upper_bound(cfg).value / abs(c_hat)
+            solve = _inverse_solver(cfg, scale=1.0 / -c_hat)
+            refs = banded_lu_solve(cfg, np.column_stack(rhs), c_hat)
             for x, ref in zip(rhs, refs.T):
                 y = solve(x)
                 assert np.abs(y - ref).max() <= 2 * RESIDUAL_EPS * EPS * kappa * np.abs(ref).max()
 
     def test_scale_and_output_buffer(self):
-        cfg = MatrixConfig(9, -2, 0.4, c_hat=-3.0)
+        cfg = MatrixConfig(9, -2, 0.4)
         x = np.linspace(-1.0, 2.0, 9)
         out = np.empty(9)
         y = _inverse_solver(cfg, scale=0.125)(x, out=out)
@@ -707,9 +702,9 @@ class TestInverseSolver:
         # solve reads each entry of x before it writes that entry of out; the
         # strided +-c1 updates of b = -2 meet both parities of n.  Working in
         # out alone gives the bits of the solver that used its own buffer.
-        for cfg, rhs in solver_cases(n):
-            solve = _inverse_solver(cfg, scale=0.3 / -cfg.c_hat)
-            reference = allocating_inverse_solver(cfg, scale=0.3 / -cfg.c_hat)
+        for cfg, c_hat, rhs in solver_cases(n):
+            solve = _inverse_solver(cfg, scale=0.3 / -c_hat)
+            reference = allocating_inverse_solver(cfg, scale=0.3 / -c_hat)
             for x in rhs:
                 want = solve(x)
                 y = x.copy()
@@ -732,9 +727,9 @@ class TestInverseSolver:
     shape=st.sampled_from([0, 1, 2, 3]),
 )
 def test_residual_gate_property(n, b, bt, c_hat, seed, shape):
-    cfg = MatrixConfig(n, b, bt, c_hat)
+    cfg = MatrixConfig(n, b, bt)
     if singularity_report(cfg)["distance"] <= 1e-9:
         return
     x = solver_rhs(n, np.random.default_rng(seed))[shape]
     y = _inverse_solver(cfg, scale=1.0 / -c_hat)(x)
-    assert np.abs(apply_scaled_operator(cfg, y) - x).max() <= residual_limit(cfg, y, x)
+    assert np.abs(apply_scaled_operator(cfg, c_hat, y) - x).max() <= residual_limit(cfg, c_hat, y, x)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from neartoeplitz import (
+    BvpProblem,
     MatrixConfig,
     PivotBreakdownError,
     assemble_inverse,
@@ -24,10 +25,15 @@ def tridiag(n, b):
     return m
 
 
-def assert_scaled_inverse(cfg):
-    """-c_hat * build_matrix(cfg) times the scaled closed-form inverse is the identity."""
-    product = -cfg.c_hat * build_matrix(cfg).data @ assemble_inverse(cfg, scaled=True).entries
-    assert np.max(np.abs(product - np.eye(cfg.n))) <= 1e-12
+def bvp_problem(cfg, **kwargs):
+    return BvpProblem(n=cfg.n, length=1.0, k_coef=1.0, nonlinearity="fisher", cfg=cfg, **kwargs)
+
+
+def assert_scaled_inverse(prob):
+    """-c_hat A of a BVP problem times the closed-form inverse divided by -c_hat is the identity."""
+    scaled = -prob.c_hat * build_matrix(prob.cfg).data
+    product = scaled @ (assemble_inverse(prob.cfg).entries / -prob.c_hat)
+    assert np.max(np.abs(product - np.eye(prob.n))) <= 1e-12
 
 
 class TestBuildMatrix:
@@ -36,10 +42,11 @@ class TestBuildMatrix:
         assert np.array_equal(m.data, tridiag(4, 2))
 
     def test_default_scaling_is_identity(self):
-        cfg = MatrixConfig(4, 2, 7.0, c_hat=-1.0)
-        assert_scaled_inverse(cfg)
-        scaled = assemble_inverse(cfg, scaled=True).entries
-        assert np.array_equal(scaled, assemble_inverse(cfg).entries)
+        prob = bvp_problem(MatrixConfig(4, 2, 7.0))
+        assert prob.c_hat == -1.0
+        assert_scaled_inverse(prob)
+        scaled = assemble_inverse(prob.cfg).entries / -prob.c_hat
+        assert np.array_equal(scaled, assemble_inverse(prob.cfg).entries)
 
     def test_corner_placement(self):
         m = build_matrix(MatrixConfig(4, -2, 0.5))
@@ -48,7 +55,7 @@ class TestBuildMatrix:
         assert m.data[0, 2] == 0.0
 
     def test_scaled_multiplies_by_minus_chat(self):
-        assert_scaled_inverse(MatrixConfig(4, 2, 3.0, c_hat=2.5))
+        assert_scaled_inverse(bvp_problem(MatrixConfig(4, 2, 3.0), c_hat=2.5))
 
 
 class TestReferenceInverse:

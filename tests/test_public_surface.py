@@ -23,6 +23,42 @@ PUBLIC = [
 ]
 
 
+#: Parameter names of every public callable.  None marks an error class that keeps its builtin
+#: base's constructor, which has no signature to inspect.  The matrix is (n, b, b_tilde): the
+#: scaling c_hat is the last field of ``BvpProblem``, and no entry function takes ``scaled``.
+SIGNATURES = {
+    "BvpProblem": ("n", "length", "k_coef", "nonlinearity", "cfg", "bc_left", "bc_right", "c_hat"),
+    "BvpResult": ("solution", "iterations", "observed_rate", "expected_rate", "converged", "steps"),
+    "DenseMatrix": ("data",),
+    "DenseSizeError": None,
+    "DivergenceError": ("message", "partial"),
+    "InverseMatrix": ("entries", "source"),
+    "MatrixConfig": ("n", "b", "b_tilde"),
+    "PivotBreakdownError": None,
+    "SingularMatrixError": None,
+    "UnsupportedCaseError": None,
+    "UpperBound": ("value", "branch", "terms"),
+    "assemble_inverse": ("cfg",),
+    "build_matrix": ("cfg",),
+    "exact_infinity_norm": ("cfg",),
+    "expected_rate": ("prob",),
+    "is_singular": ("cfg",),
+    "lower_bound": ("cfg",),
+    "near_toeplitz_inverse_entry": ("cfg", "i", "j"),
+    "reference_inverse": ("m",),
+    "reference_norm": ("m",),
+    "reference_rowsums": ("m",),
+    "reference_trace": ("m",),
+    "rowsum": ("cfg", "i"),
+    "rowsums": ("cfg",),
+    "sign_pattern": ("cfg",),
+    "singularity_report": ("cfg",),
+    "solve_fixed_point": ("prob", "u0", "tol", "max_iter"),
+    "trace_inverse": ("cfg",),
+    "upper_bound": ("cfg",),
+}
+
+
 def _imported_from(path: Path, module: str | None, level: int) -> set[str]:
     """Names a file imports with ``from <module> import ...`` at the given relative level."""
     tree = ast.parse(path.read_text())
@@ -33,6 +69,21 @@ def _imported_from(path: Path, module: str | None, level: int) -> set[str]:
 
 def test_public_names_are_pinned():
     assert sorted(neartoeplitz.__all__) == PUBLIC
+
+
+def _parameters(obj) -> tuple[str, ...] | None:
+    """Parameter names of a public callable, None for an error class without an __init__ of
+    its own in the package."""
+    if isinstance(obj, type) and issubclass(obj, Exception) and not any(
+            "__init__" in vars(c) for c in obj.__mro__ if c.__module__.startswith("neartoeplitz")):
+        return None
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_public_signatures_are_pinned():
+    """A new parameter or field of a public name is a change to this table, not a side effect."""
+    got = {name: _parameters(getattr(neartoeplitz, name)) for name in neartoeplitz.__all__}
+    assert got == SIGNATURES
 
 
 def test_all_equals_the_names_init_imports():
