@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Every subcommand is a thin wrapper over a single library call and emits a
-deterministic report: JSON by default, CSV with ``--format csv`` (``reproduce``:
-CSV only); floats are printed with 10 significant digits.  Exit codes: 0 success,
-2 usage or invalid argument (also an unwritable ``--out``, a non-finite result or a
-refused allocation), 3 singular configuration, 4 diverging iteration.  Every failure
-writes one JSON error object to stderr and nothing to stdout, except argparse's own
+deterministic report: JSON by default, CSV with ``--format csv`` (``reproduce``: CSV only);
+computed floats are printed with 10 significant digits, echoed inputs as parsed.  Exit
+codes: 0 success, 2 usage or invalid argument (also an unwritable ``--out``, a non-finite
+result or a refused allocation), 3 singular configuration, 4 diverging iteration.  Every
+failure writes one JSON error object to stderr and nothing to stdout, except argparse's own
 usage errors (an unknown, missing or malformed option), which exit 2 with its usage text.
 Every option changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``,
 and report for -c_hat times the matrix; ``singular`` answers at the library's one tolerance.
@@ -32,16 +32,20 @@ EXIT_SINGULAR = 3
 EXIT_DIVERGED = 4
 
 
+def _finite(value: float) -> float:
+    """``value``, unless it is non-finite: that has no JSON form, so it raises ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value} cannot be reported")
+    return value
+
+
 def _round10(obj):
     """Normalise a result for output: numpy arrays and scalars as Python lists and values,
-    floats rounded to 10 significant digits.  A non-finite float has no JSON form, so it
-    raises ValueError."""
+    floats rounded to 10 significant digits and refused when non-finite (``_finite``)."""
     if hasattr(obj, "tolist"):
         obj = obj.tolist()
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite value {obj} cannot be reported")
-        return float(f"{obj:.10g}")
+        return float(f"{_finite(obj):.10g}")
     if isinstance(obj, (list, tuple)):
         return [_round10(v) for v in obj]
     if isinstance(obj, dict):
@@ -50,7 +54,11 @@ def _round10(obj):
 
 
 def _fmt(value) -> str:
-    return f"{value:.10g}" if isinstance(value, float) else str(value)
+    """A CSV cell: a float in 10 significant digits when they give it back, else its repr."""
+    if isinstance(value, float):
+        short = f"{value:.10g}"
+        return short if float(short) == value else repr(value)
+    return str(value)
 
 
 def _csv_rows(field: str, value):
@@ -67,13 +75,14 @@ def _csv_rows(field: str, value):
 
 
 def _report(args, outputs: dict, branch: str | None = None) -> str:
-    """The subcommand's record, normalised and rendered in ``--format``.  ``inputs`` echoes
-    every parsed option except ``--format`` and ``--out``, in the parser's order."""
-    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "format", "out")}
-    rec = {"command": args.command, "inputs": inputs, "outputs": outputs}
+    """The subcommand's record, rendered in ``--format``.  ``inputs`` echoes every parsed
+    option except ``--format`` and ``--out``, in the parser's order and unrounded, so that
+    it names the configuration that was computed; only ``outputs`` is rounded."""
+    inputs = {k: _finite(v) if isinstance(v, float) else v for k, v in vars(args).items()
+              if k not in ("command", "func", "format", "out")}
+    rec = {"command": args.command, "inputs": inputs, "outputs": _round10(outputs)}
     if branch is not None:
         rec["branch"] = branch
-    rec = _round10(rec)
     if args.format == "csv":
         return "\n".join(["field,value", *_csv_rows("", rec)]) + "\n"
     return json.dumps(rec, indent=2) + "\n"

@@ -114,10 +114,11 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     z_i = i * sum_{k>=i} w_k / (k (k+1)).  The corners are removed by
     y = z - c1 (n+1-i)/(n+1) - c2 i/(n+1), where (c1, c2) solves the symmetric
     2x2 capacitance system with m11 = 1 + beta n/(n+1), m12 = beta/(n+1),
-    through its eigenvalues 1 + beta and 1 + beta (n-1)/(n+1).  Their product
-    is the factored determinant delta, so the solve breaks down exactly at the
-    two singular corners.  b = -2 goes through the config's b = +2 frame, with
-    -S and ``scale`` folded into the weights before and S into those after.
+    through its eigenvalues 1 + beta and 1 + beta (n-1)/(n+1), read from the
+    config's corner gaps.  Their product is the factored determinant delta, so
+    the solve breaks down exactly at the two singular corners.  b = -2 goes
+    through the config's b = +2 frame (gaps negated), with -S and ``scale``
+    folded into the weights before and S into those after.
 
     This is the LU order, so the solve is backward stable: the residual
     ||A y - x|| stays within a few eps of ||A|| ||y|| + ||x||, also near the
@@ -130,11 +131,12 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     import numpy as np
 
     require_nonsingular(cfg)
-    n, bt, beta, flip = cfg.n, cfg._bt, cfg._r, cfg._flip
-    # Eigenvalues of the capacitance matrix, on the eigenvectors (1, 1) and
-    # (1, -1), each a multiple of the distance to one singular corner.
-    q_sum = beta / (bt - 1.0)
-    q_diff = beta / ((n - 1) / (n + 1) * (bt - (n - 3) / (n - 1)))
+    n, beta, flip = cfg.n, cfg._r, cfg._flip
+    g1, g2 = (-cfg._gaps[0], -cfg._gaps[1]) if flip else cfg._gaps
+    # beta over the eigenvalues of the capacitance matrix, on the eigenvectors
+    # (1, 1) and (1, -1); each eigenvalue is a multiple of one corner gap.
+    q_sum = beta / g1
+    q_diff = beta / ((n - 1) / (n + 1) * g2)
     post = np.arange(1.0, n + 1.0)
     mid = post + 1.0
     mid *= post

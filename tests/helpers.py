@@ -19,8 +19,9 @@ from neartoeplitz import (
     expected_rate,
     is_singular,
     reference_inverse,
+    singularity_report,
 )
-from neartoeplitz.config import _delta_factored, require_nonsingular
+from neartoeplitz.config import require_nonsingular
 from neartoeplitz.core import _parity
 from neartoeplitz.oracle import PIVOT_RTOL
 
@@ -268,9 +269,9 @@ class DerivedParams:
 def derived_params(cfg: MatrixConfig) -> DerivedParams:
     """Compute beta, gamma / gamma_plus, the capacitance entries, and delta.
 
-    delta is the factored quadratic in b_tilde, which equals m11^2 - m12^2 but
-    stays accurate near the singular corners, where the difference of squares
-    cancels.
+    delta is ``singularity_report``'s factored quadratic in b_tilde, which equals
+    m11^2 - m12^2 but stays accurate near the singular corners, where the
+    difference of squares cancels.
     """
     n, b, bt = cfg.n, cfg.b, cfg.b_tilde
     beta = bt - b
@@ -283,7 +284,8 @@ def derived_params(cfg: MatrixConfig) -> DerivedParams:
     gamma = (2.0 - bt) / (1.0 - bt) if (b == 2 and bt != 1.0) else None
     gamma_plus = (2.0 + bt) / (1.0 + bt) if (b == -2 and bt != -1.0) else None
     return DerivedParams(
-        beta=beta, gamma=gamma, gamma_plus=gamma_plus, m11=m11, m12=m12, delta=_delta_factored(cfg)
+        beta=beta, gamma=gamma, gamma_plus=gamma_plus, m11=m11, m12=m12,
+        delta=singularity_report(cfg)["delta"],
     )
 
 

@@ -161,6 +161,21 @@ def test_inputs_echo_every_parsed_option(capsys, tmp_path, command, fmt):
         assert got == [f"inputs.{key},{cli._fmt(value)}" for key, value in want.items()]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_inputs_echo_is_not_rounded(capsys, fmt):
+    """The echo names the configuration that was computed: 1 + 2e-10 in 10 digits would be
+    the singular corner 1.0, which ``trace`` refuses.  Only ``outputs`` is rounded."""
+    trace = ["trace", "--n", "5", "--b", "2", "--format", fmt, "--btilde"]
+    code, out, _ = run_cli(capsys, *trace, "1.0000000002")
+    assert code == 0 and run_cli(capsys, *trace, "1.0")[0] == 3
+    if fmt == "json":
+        rec = strict_json(out)
+        assert (rec["inputs"]["btilde"], rec["outputs"]["trace"]) == (1.0000000002, 1.249999897e10)
+    else:
+        lines = out.splitlines()
+        assert "inputs.btilde,1.0000000002" in lines and "outputs.trace,1.249999897e+10" in lines
+
+
 #: A call of each subcommand, and one alternate value for each option it parses other than
 #: --format and --out.  argparse lets the alternate, given last, override the call's value.
 _MATRIX = ["--n", "8", "--b", "2", "--btilde", "3"]
@@ -214,17 +229,29 @@ def test_every_option_changes_the_result(capsys, command, dest):
 @pytest.mark.parametrize("n", [5, 13])
 def test_singular_answers_as_trace_refuses(capsys, n, b):
     """``singular`` says true exactly where ``trace`` refuses the configuration with exit 3:
-    within 1e-10 of either singular corner, so at offsets 0 and +-5e-11, not at +-2e-10."""
+    within 1e-10 of either singular corner, so at offsets 0 and +-5e-11, not at +-2e-10.
+    ``delta_test`` gives the same answer, with no threshold of its own."""
     sign = 1 if b > 0 else -1
     seen = []
     for point in (sign * 1.0, sign * (n - 3) / (n - 1)):
         for offset in (0.0, 5e-11, -5e-11, 2e-10, -2e-10):
             mat = ["--n", str(n), "--b", str(b), "--btilde", repr(point + offset)]
             _, out, _ = run_cli(capsys, "singular", *mat)
-            singular = strict_json(out)["outputs"]["singular"]
+            outputs = strict_json(out)["outputs"]
+            singular = outputs["singular"]
+            assert outputs["delta_test"] is singular, mat
             assert singular == (run_cli(capsys, "trace", *mat)[0] == 3), mat
             seen.append(singular)
     assert seen == [True, True, True, False, False] * 2
+
+
+@pytest.mark.parametrize("b, btilde, delta", [
+    ("-2", "-1", "-0.0"), ("2", "0.5", "-0.0"), ("2", "1", "0.0"), ("-2", "-0.5", "0.0")])
+def test_singular_delta_keeps_its_signed_zero(capsys, b, btilde, delta):
+    """At an exact corner ``delta`` is a zero signed in the config's own frame: b_tilde - s
+    is +0.0, and the other gap gives the sign.  The b = +2 frame would flip two of these."""
+    code, out, _ = run_cli(capsys, "singular", "--n", "5", "--b", b, "--btilde", btilde)
+    assert code == 0 and f'"delta": {delta},' in out
 
 
 class TestReproduce:

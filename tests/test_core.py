@@ -32,7 +32,7 @@ from neartoeplitz import (
 )
 from neartoeplitz.analysis import _BRANCHES_B2, _BRANCHES_BM2
 from neartoeplitz.cli import main
-from neartoeplitz.config import _MAX_DENSE_ORDER, delta_below_threshold
+from neartoeplitz.config import _MAX_DENSE_ORDER
 from neartoeplitz.core import _inverse_solver
 
 from helpers import (
@@ -348,12 +348,27 @@ class TestSingularity:
     def test_fires_at_singular_values(self, n, b, bt):
         cfg = MatrixConfig(n, b, bt)
         assert is_singular(cfg)
-        assert delta_below_threshold(cfg)
 
     def test_no_fire_away_from_singular_values(self):
         cfg = MatrixConfig(5, 2, 0.5 + 1e-6)
         assert not is_singular(cfg)
-        assert not delta_below_threshold(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(4, 2**53), x=st.one_of(
+        st.floats(-1e6, 1e6), st.sampled_from([1.0, 0.5, 0.0, -0.0, 1 + 2e-10, 1 - 5e-11])))
+    def test_report_is_the_mirrored_report(self, n, x):
+        """b = -2 at -x has the gaps of b = +2 at x, negated exactly: the same distance and
+        delta, bit for bit, wherever delta is nonzero (a zero gap is +0.0 in both frames).
+        Each config's gaps are b_tilde minus its ``singular_points()``."""
+        configs = MatrixConfig(n, 2, x), MatrixConfig(n, -2, -x)
+        for cfg in configs:
+            assert [g.hex() for g in cfg._gaps] == [(cfg.b_tilde - s).hex()
+                                                    for s in cfg.singular_points()]
+        plus, minus = map(singularity_report, configs)
+        assert plus["distance"].hex() == minus["distance"].hex()
+        assert plus["singular"] is minus["singular"] is plus["delta_test"] is minus["delta_test"]
+        if plus["delta"] != 0.0:
+            assert plus["delta"].hex() == minus["delta"].hex()
 
 
 class TestNearToeplitzEntry:
