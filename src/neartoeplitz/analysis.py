@@ -1,10 +1,12 @@
 """Exact scalar summaries and norm bounds for the inverse.
 
 Row sums and the trace have closed forms; the exact infinity norm is one O(n) pass in Python
-integers, rounded once, in O(1) memory and with no numpy.  The lower / upper norm bounds implement
-the published bound formulas with explicit branch selection on b_tilde.  The trace, the norm and
-the bounds for b = -2 are the b = +2 ones at the mirrored corner (the config's b = +2 frame); the
-b = -2 row-sum closed forms, branch names and sign-pattern statement are kept as stated.
+integers, rounded once, in O(1) memory.  The sign pattern is n row tuples, at most five of them
+distinct objects, in O(n) memory; only ``rowsums`` builds a numpy array.  The lower / upper
+bounds implement the published formulas with explicit branch selection on b_tilde.  The trace,
+the norm and the bounds for b = -2 are the b = +2 ones at the mirrored corner (the config's
+b = +2 frame); the b = -2 row-sum closed forms, branch names and sign-pattern statement are
+kept as stated.
 """
 
 from __future__ import annotations
@@ -87,34 +89,30 @@ def rowsum_bounds(cfg: MatrixConfig) -> tuple[float, float]:
     return lower, upper
 
 
-def sign_pattern(cfg: MatrixConfig) -> np.ndarray:
-    """Predicted signs of the inverse as an n x n int8 array; b = 2, b_tilde <= 0, n <= 2**14.
+def sign_pattern(cfg: MatrixConfig) -> tuple[tuple[int, ...], ...]:
+    """Predicted signs of the inverse as n rows of n ints; b = 2, b_tilde <= 0, n <= 2**14.
 
     b_tilde < 0: +1 on the interior block {2..n-1}^2 and at the two
     antidiagonal corners (1,n), (n,1); -1 elsewhere.
 
     b_tilde = 0: rows/columns 2 and n-1 vanish except next to the corners,
-    the +1 block shrinks to {3..n-2}^2, and the remaining frame is -1.
+    the +1 block shrinks to {3..n-2}^2, and the remaining frame is -1.  Both are constant on
+    the blocks of {1}, {2}, {3..n-2}, {n-1}, {n}; the rows in {3..n-2} are one object.
     """
-    import numpy as np
-
     if cfg.b != 2 or cfg.b_tilde > 0:
         raise UnsupportedCaseError("sign pattern is stated for b = +2 with b_tilde <= 0")
     require_nonsingular(cfg)
     require_dense_order(cfg.n)
-    n = cfg.n
-    pattern = -np.ones((n, n), dtype=np.int8)
     if cfg.b_tilde < 0:
-        pattern[1 : n - 1, 1 : n - 1] = 1
-        pattern[0, n - 1] = pattern[n - 1, 0] = 1
+        blocks = ((-1, -1, -1, -1, 1),) + ((-1, 1, 1, 1, -1),) * 3 + ((1, -1, -1, -1, -1),)
     else:
-        pattern[2 : n - 2, 2 : n - 2] = 1
-        pattern[0, n - 1] = pattern[n - 1, 0] = 1
-        pattern[1, :] = pattern[n - 2, :] = 0
-        pattern[:, 1] = pattern[:, n - 2] = 0
-        pattern[0, 1] = pattern[1, 0] = -1
-        pattern[n - 2, n - 1] = pattern[n - 1, n - 2] = -1
-    return pattern
+        blocks = ((-1, -1, -1, 0, 1), (-1, 0, 0, 0, 0), (-1, 0, 1, 0, -1), (0, 0, 0, 0, -1),
+                  (1, 0, -1, -1, -1))
+
+    def widen(first, second, mid, before_last, last):
+        return (first, second) + (mid,) * (cfg.n - 4) + (before_last, last)
+
+    return widen(*(widen(*block) for block in blocks))
 
 
 def exact_infinity_norm(cfg: MatrixConfig) -> float:

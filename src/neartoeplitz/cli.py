@@ -19,12 +19,12 @@ import math
 import sys
 
 from .analysis import (
-    exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, rowsums, sign_pattern, trace_inverse,
-    upper_bound,
+    exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, sign_pattern, trace_inverse, upper_bound,
 )
-from .config import TABLE_IDS, MatrixConfig, _c_hat, singularity_report
+from .config import TABLE_IDS, MatrixConfig, _c_hat, require_nonsingular, singularity_report
+from .config import _MAX_DENSE_ORDER
 from .core import assemble_inverse, near_toeplitz_inverse_entry
-from .errors import DivergenceError, SingularMatrixError
+from .errors import DenseSizeError, DivergenceError, SingularMatrixError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,8 +120,12 @@ def cmd_rowsum(args) -> str:
     if args.i is not None:
         outputs = {"i": args.i, "rowsum": rowsum(cfg, args.i)}
     else:
+        require_nonsingular(cfg)
+        if cfg.n > _MAX_DENSE_ORDER**2:  # as many values as ``invert`` prints at its cap
+            raise DenseSizeError(f"order {cfg.n} is above 2**28, the cap on listed row sums")
         lower, upper = rowsum_bounds(cfg) if cfg.b == 2 else (None, None)
-        outputs = {"values": rowsums(cfg), "lower": lower, "upper": upper}
+        values = [rowsum(cfg, i) for i in range(1, cfg.n + 1)]
+        outputs = {"values": values, "lower": lower, "upper": upper}
     return _report(args, outputs)
 
 

@@ -59,11 +59,9 @@ def near_toeplitz_inverse_entry(cfg: MatrixConfig, i: int, j: int) -> float:
     if i < j:
         i, j = j, i
     r, r1 = cfg._r, cfg._r1
-    # u_j v_i / D by ``assemble_inverse``'s generator expressions: an entry has the grid's bits.
+    # u_j v_i / D as ``assemble_inverse`` computes it, + 0.0 too: an entry has the grid's bits.
     value = (j * r1 - r) * ((n + 1 - i) * r1 - r) / cfg._d
-    if cfg._flip and (i + 1 - j) % 2 == 1:
-        value = -value
-    return value
+    return (-value if cfg._flip and (i + 1 - j) % 2 else value) + 0.0
 
 
 def _inverse_solver(cfg: MatrixConfig, scale: float):

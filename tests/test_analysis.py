@@ -145,14 +145,14 @@ class TestRowSumBounds:
 class TestSignPattern:
     def test_negative_corner_pins(self):
         pat = sign_pattern(MatrixConfig(5, 2, -1.0))
-        assert pat[0, 0] == -1
-        assert pat[2, 2] == 1
-        assert pat[0, 4] == 1
+        assert pat[0][0] == -1
+        assert pat[2][2] == 1
+        assert pat[0][4] == 1
 
     def test_zero_corner_pins(self):
         pat = sign_pattern(MatrixConfig(6, 2, 0.0))
-        assert pat[1, 3] == 0
-        assert pat[0, 1] == -1
+        assert pat[1][3] == 0
+        assert pat[0][1] == -1
 
     def test_matches_oracle_sign(self):
         for n in (5, 8, 11):
@@ -161,10 +161,10 @@ class TestSignPattern:
                 ref = reference_inverse(build_matrix(cfg)).entries
                 signs = np.sign(ref)
                 signs[np.abs(ref) <= 1e-12] = 0
-                assert np.array_equal(sign_pattern(cfg), signs.astype(int))
+                assert np.array_equal(np.array(sign_pattern(cfg)), signs.astype(int))
 
     def test_symmetric_and_centrosymmetric(self):
-        pat = sign_pattern(MatrixConfig(9, 2, -0.25))
+        pat = np.array(sign_pattern(MatrixConfig(9, 2, -0.25)))
         assert np.array_equal(pat, pat.T)
         assert np.array_equal(pat, pat[::-1, ::-1])
 
@@ -173,6 +173,24 @@ class TestSignPattern:
             sign_pattern(MatrixConfig(6, -2, -1.0))
         with pytest.raises(UnsupportedCaseError):
             sign_pattern(MatrixConfig(6, 2, 0.5))
+
+    @pytest.mark.parametrize("bt", [-1.0, 0.0])
+    def test_rows_are_shared(self, bt):
+        # At most five distinct rows: n rows of n ints take O(n) memory, not n^2.
+        for n in (4, 5, 17):
+            pat = sign_pattern(MatrixConfig(n, 2, bt))
+            assert len(pat) == n and {len(row) for row in pat} == {n}
+            assert all(type(row) is tuple and type(row[0]) is int for row in pat)
+            assert len({id(row) for row in pat}) <= 5
+        tracemalloc.start()
+        try:
+            pat = sign_pattern(MatrixConfig(2**14, 2, bt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Five rows and the outer tuple are 768 KiB; an int8 array would be 256 MiB.
+        assert len({id(row) for row in pat}) <= 5
+        assert peak < 2**20
 
 
 class TestExactNorm:

@@ -471,13 +471,28 @@ class TestExitCodes:
                 "message": f"[Errno 2] No such file or directory: '{path}'"}}
 
     def test_refused_allocation_is_2(self, capsys, monkeypatch):
-        def refuse(cfg):
+        def refuse(cfg, i):
             raise MemoryError(f"Unable to allocate {8 * cfg.n} bytes")
-        monkeypatch.setattr(cli, "rowsums", refuse)
-        code, out, err = run_cli(capsys, "rowsum", "--n", "10000000000", "--b", "2", "--btilde", "3")
+        monkeypatch.setattr(cli, "rowsum", refuse)
+        code, out, err = run_cli(capsys, "rowsum", "--n", "100000", "--b", "2", "--btilde", "3")
         assert (code, out) == (2, "")
         assert strict_json(err)["error"] == {"type": "MemoryError",
-                                             "message": "Unable to allocate 80000000000 bytes"}
+                                             "message": "Unable to allocate 800000 bytes"}
+
+    @pytest.mark.parametrize("b", ["2", "-2"])
+    def test_row_list_above_its_cap_is_2_before_any_row(self, capsys, monkeypatch, b):
+        # 2**28 rows are as many values as invert prints at its order cap; one more is refused.
+        monkeypatch.setattr(cli, "rowsum", lambda cfg, i: pytest.fail("a row was computed"))
+        for n in (str(2**28 + 1), "10000000000"):
+            code, out, err = run_cli(capsys, "rowsum", "--n", n, "--b", b, "--btilde", "3")
+            assert (code, out) == (2, "")
+            assert strict_json(err)["error"] == {
+                "type": "DenseSizeError",
+                "message": f"order {n} is above 2**28, the cap on listed row sums"}
+        # A singular configuration answers as singular at any order, as before the cap.
+        singular = "1" if b == "2" else "-1"
+        code, out, err = run_cli(capsys, "rowsum", "--n", "10000000000", "--b", b, "--btilde", singular)
+        assert (code, out, strict_json(err)["error"]["type"]) == (3, "", "SingularMatrixError")
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_partial_is_valid_json(self, capsys):
@@ -643,9 +658,9 @@ def run_main(argv, check, code=0):
     )
 
 
-#: Scalar subcommands with their exit codes: both formats, both signs, a singular
+#: Calls that build no array, with their exit codes: both formats, both signs, a singular
 #: configuration (3) and a row index out of range (2).
-SCALAR_CALLS = [
+NUMPY_FREE_CALLS = [
     pytest.param(["entry", "--n", "40", "--b", "2", "--btilde", "0.95", "--i", "3", "--j", "7"], 0,
                  id="entry"),
     pytest.param(["entry", "--n", "40", "--b", "-2", "--btilde", "-2.5", "--i", "40", "--j", "1",
@@ -660,14 +675,21 @@ SCALAR_CALLS = [
     pytest.param(["norm", "--n", "40", "--b", "2", "--btilde", "0.95"], 0, id="norm"),
     pytest.param(["bounds", "--n", "40", "--b", "-2", "--btilde", "-0.3", "--format", "csv"], 0,
                  id="bounds-csv"),
+    pytest.param(["signs", "--n", "40", "--b", "2", "--btilde", "-0.3"], 0, id="signs"),
+    pytest.param(["signs", "--n", "40", "--b", "2", "--btilde", "0", "--format", "csv"], 0,
+                 id="signs-zero-csv"),
+    pytest.param(["rowsum", "--n", "40", "--b", "2", "--btilde", "0.95"], 0, id="rowsum"),
+    pytest.param(["rowsum", "--n", "40", "--b", "-2", "--btilde", "3", "--format", "csv"], 0,
+                 id="rowsum-csv"),
 ]
 
 
 class TestImportBoundary:
     """scipy is a test-only dependency: the package and its CLI never import it.  numpy is
-    imported only by code that builds an array, so the scalar subcommands (the norm and its
-    bounds too) run without it, and without dataclasses, inspect or the tables module; the
-    two norm tables load the tables module and no numpy."""
+    imported only by code that builds an array, so the scalar subcommands, the norm and its
+    bounds, the sign pattern and the full row-sum list run without it, and without
+    dataclasses, inspect or the tables module; the two norm tables load the tables module
+    and no numpy."""
 
     def test_import_does_not_load_scipy(self):
         assert run_python(f"import sys, neartoeplitz; {SCIPY_LOADED}").split() == ["False"]
@@ -675,7 +697,7 @@ class TestImportBoundary:
     def test_import_does_not_load_numpy(self):
         assert run_python(f"import sys, neartoeplitz; {NUMPY_LOADED}").split() == ["False"]
 
-    @pytest.mark.parametrize("argv, code", SCALAR_CALLS)
+    @pytest.mark.parametrize("argv, code", NUMPY_FREE_CALLS)
     def test_scalar_subcommand_does_not_load_numpy(self, argv, code):
         out = run_main(argv, f"{NUMPY_LOADED}\n{STARTUP_LOADED}", code)
         assert out.splitlines()[-2:] == ["False", "[]"]
@@ -687,6 +709,17 @@ class TestImportBoundary:
         out = run_main(["reproduce", table_id], f"{NUMPY_LOADED}\n{STARTUP_LOADED}")
         assert out.splitlines()[-2:] == ["False", "['neartoeplitz.tables']"]
         assert out.startswith("n,btilde,norm,upper_bound,branch,")
+
+    def test_only_the_array_subcommands_load_numpy(self):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        calls = {command: [command, *OPTION_CALLS[command][0]] for command in commands
+                 if command != "reproduce"}
+        calls.update({f"reproduce {table_id}": ["reproduce", table_id]
+                      for table_id in neartoeplitz.config.TABLE_IDS})
+        loaders = {name for name, argv in calls.items()
+                   if run_main(argv, NUMPY_LOADED).split()[-1] == "True"}
+        assert loaders == {"invert", "solve-bvp", "reproduce table5", "reproduce table6"}
 
     def test_invert_loads_numpy_and_works(self):
         out = run_main(["invert", "--n", "6", "--b", "-2", "--btilde", "0.95"], NUMPY_LOADED)
