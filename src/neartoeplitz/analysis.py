@@ -181,12 +181,11 @@ def upper_bound(cfg: MatrixConfig) -> UpperBound:
         return UpperBound((n + 1) ** 2 / 8.0 - n * gamma / 2.0, names[0], {})
     if bt >= (n - 2) / (n - 1):
         return UpperBound(n * (gamma - 1.0) / 2.0, names[1], {})
-    if bt > (n - 3) / (n - 1):
+    if bt > 0.0:  # (n-3)/(n-1) > 0 for n >= 4, so P serves both middle branches
         P = n * (1.0 - gamma) / 2.0 + (gamma - 1.0) ** 2 * (gamma + 1.0) / (2.0 * gamma - n - 1)
-        Q = n * (gamma - 1.0) / 2.0 + gamma / (2.0 * gamma - n - 1) * (n + 1) ** 2 / 16.0 + 0.5
-        return UpperBound(max(P, Q), names[2], {"P": P, "Q": Q})
-    if bt > 0.0:
-        P = n * (1.0 - gamma) / 2.0 + (gamma - 1.0) ** 2 * (gamma + 1.0) / (2.0 * gamma - n - 1)
+        if bt > (n - 3) / (n - 1):
+            Q = n * (gamma - 1.0) / 2.0 + gamma / (2.0 * gamma - n - 1) * (n + 1) ** 2 / 16.0 + 0.5
+            return UpperBound(max(P, Q), names[2], {"P": P, "Q": Q})
         R = (n + 1) ** 2 / 8.0 - gamma * ((n + 1) / 2.0 - gamma)
         return UpperBound(max(-P, R), names[3], {"P": P, "R": R})
     S = (n + 1) ** 2 / 8.0 + (4.0 - n * (2.0 - bt)) / (2.0 * (1.0 - bt))

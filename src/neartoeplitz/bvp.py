@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class BvpResult:
     observed_rate: float
     expected_rate: float
     converged: bool
-    steps: list[float] = field(default_factory=list)
+    steps: list[float]
 
 
 def expected_rate(prob: BvpProblem) -> float:
@@ -119,13 +119,8 @@ def _initial_iterate(prob: BvpProblem) -> np.ndarray:
     return np.divide(u, peak, out=u)
 
 
-def solve_fixed_point(
-    prob: BvpProblem,
-    u0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> BvpResult:
-    """Iterate u <- A^{-1}(h^2 f(u) + bc) until the sup-norm step is below tol.
+def solve_fixed_point(prob: BvpProblem, *, tol: float = 1e-10, max_iter: int = 10_000) -> BvpResult:
+    """Iterate u <- A^{-1}(h^2 f(u) + bc) from ``_initial_iterate`` until the step is below tol.
 
     The operator is factored once per solve (``core._inverse_solver``) with
     h^2 folded into its weights; by linearity the boundary part g = A^{-1} bc
@@ -141,9 +136,7 @@ def solve_fixed_point(
         raise ValueError("tol must be positive")
     if not operator.index(max_iter) >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    u = _initial_iterate(prob) if u0 is None else np.array(u0, dtype=float)
-    if u0 is not None and (u.shape != (prob.n,) or not np.isfinite(u).all()):
-        raise ValueError(f"initial iterate must be {prob.n} finite values, got shape {u.shape}")
+    u = _initial_iterate(prob)
 
     h2 = prob.h**2
     # An overflow in the weights, in g or in f(u) turns entries of the next

@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Every subcommand is a thin wrapper over a single library call and emits a
-deterministic report: JSON by default, CSV with ``--format csv`` (``reproduce``: CSV only);
-computed floats are printed with 10 significant digits, echoed inputs as parsed.  Exit
+Each subcommand wraps one library call, except ``bounds`` (both bounds next to the exact norm)
+and ``rowsum`` without ``--i`` (the O(1) row sum for every row next to ``rowsum_bounds``), and
+emits a deterministic report: JSON by default, CSV with ``--format csv`` (``reproduce``: CSV
+only); computed floats are printed with 10 significant digits, echoed inputs as parsed.  Exit
 codes: 0 success, 2 usage or invalid argument (also an unwritable ``--out``, a non-finite
-result or a refused allocation), 3 singular configuration, 4 diverging iteration.  Every
-failure writes one JSON error object to stderr and nothing to stdout, except argparse's own
-usage errors (an unknown, missing or malformed option), which exit 2 with its usage text.
-Every option changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``,
-and report for -c_hat times the matrix; ``singular`` answers at the library's one tolerance.
+result, a refused allocation or a report of more than ``_MAX_PRINTED`` numbers, refused
+before the work), 3 singular configuration, 4 diverging iteration.  Every failure writes one
+JSON error object to stderr and nothing to stdout, except argparse's own usage errors (an
+unknown, missing or malformed option), which exit 2 with its usage text.  Every option
+changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``, and report
+for -c_hat times the matrix; ``singular`` answers at the library's one tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .analysis import (
     exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, sign_pattern, trace_inverse, upper_bound,
 )
 from .config import TABLE_IDS, MatrixConfig, _c_hat, require_nonsingular, singularity_report
-from .config import _MAX_DENSE_ORDER
 from .core import assemble_inverse, near_toeplitz_inverse_entry
 from .errors import DenseSizeError, DivergenceError, SingularMatrixError
 
@@ -30,6 +31,16 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_DIVERGED = 4
+
+#: The most numbers one report prints: rendering holds about 90 B per printed int and 200 B
+#: per printed float, so a report at the cap peaks near 200 MB.
+_MAX_PRINTED = 2**20
+
+
+def _require_printable(count: int) -> None:
+    """Refuse a report of more than ``_MAX_PRINTED`` numbers with DenseSizeError."""
+    if count > _MAX_PRINTED:
+        raise DenseSizeError(f"the report would print {count} numbers, above 2**20, the cap")
 
 
 def _finite(value: float) -> float:
@@ -106,6 +117,8 @@ def cmd_entry(args) -> str:
 
 def cmd_invert(args) -> str:
     cfg, c_hat = _cfg(args), _c_hat(args.chat)
+    require_nonsingular(cfg)
+    _require_printable(cfg.n**2)
     entries, source = assemble_inverse(cfg)
     entries /= -c_hat
     return _report(args, {"n": args.n, "source": source, "entries": entries})
@@ -121,8 +134,7 @@ def cmd_rowsum(args) -> str:
         outputs = {"i": args.i, "rowsum": rowsum(cfg, args.i)}
     else:
         require_nonsingular(cfg)
-        if cfg.n > _MAX_DENSE_ORDER**2:  # as many values as ``invert`` prints at its cap
-            raise DenseSizeError(f"order {cfg.n} is above 2**28, the cap on listed row sums")
+        _require_printable(cfg.n)
         lower, upper = rowsum_bounds(cfg) if cfg.b == 2 else (None, None)
         values = [rowsum(cfg, i) for i in range(1, cfg.n + 1)]
         outputs = {"values": values, "lower": lower, "upper": upper}
@@ -142,7 +154,9 @@ def cmd_bounds(args) -> str:
 
 
 def cmd_signs(args) -> str:
-    return _report(args, {"n": args.n, "pattern": sign_pattern(_cfg(args))})
+    pattern = sign_pattern(_cfg(args))
+    _require_printable(args.n**2)
+    return _report(args, {"n": args.n, "pattern": pattern})
 
 
 def cmd_singular(args) -> str:
@@ -156,6 +170,8 @@ def cmd_solve_bvp(args) -> str:
         n=args.n, length=args.length, k_coef=args.k, nonlinearity=args.nonlinearity,
         cfg=_cfg(args), bc_left=args.bc_left, bc_right=args.bc_right, c_hat=args.chat,
     )
+    require_nonsingular(prob.cfg)
+    _require_printable(prob.n)
     res = solve_fixed_point(prob, tol=args.tol, max_iter=args.max_iter)
     outputs = {
         "iterations": res.iterations,

@@ -154,6 +154,7 @@ def require_nonsingular(cfg: MatrixConfig) -> None:
 
 
 def require_dense_order(n: int) -> None:
-    """Raise :class:`DenseSizeError` for orders above the cap, before anything n x n is allocated."""
+    """Raise :class:`DenseSizeError` for orders above the cap, before the capped work starts."""
     if n > _MAX_DENSE_ORDER:
-        raise DenseSizeError(f"order {n} is above {_MAX_DENSE_ORDER}, the cap on dense n x n grids")
+        raise DenseSizeError(f"order {n} is above {_MAX_DENSE_ORDER}, the cap on n x n arrays, "
+                             "the sign pattern and the exact norm's pass")

@@ -74,8 +74,8 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     y = z - c1 (n+1-i)/(n+1) - c2 i/(n+1), where (c1, c2) solves the symmetric
     2x2 capacitance system with m11 = 1 + beta n/(n+1), m12 = beta/(n+1),
     through its eigenvalues 1 + beta and 1 + beta (n-1)/(n+1), read from the
-    config's corner gaps.  Their product is the factored determinant delta, so
-    the solve breaks down exactly at the two singular corners.  b = -2 goes
+    config's corner gaps.  Their product is the factored determinant delta: the
+    caller refuses the two singular corners, where the solve breaks down.  b = -2 goes
     through the config's b = +2 frame (gaps negated), with -S and ``scale``
     folded into the weights before and S into those after.
 
@@ -89,7 +89,6 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     """
     import numpy as np
 
-    require_nonsingular(cfg)
     n, beta, flip = cfg.n, cfg._r, cfg._flip
     g1, g2 = (-cfg._gaps[0], -cfg._gaps[1]) if flip else cfg._gaps
     # beta over the eigenvalues of the capacitance matrix, on the eigenvectors

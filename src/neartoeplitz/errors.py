@@ -10,7 +10,7 @@ class PivotBreakdownError(SingularMatrixError):
 
 
 class DenseSizeError(ValueError):
-    """The order is above the cap on dense n x n results (2**14); refused before allocating."""
+    """A size cap is exceeded (order 2**14, or 2**20 numbers in a CLI report); refused up front."""
 
 
 class UnsupportedCaseError(ValueError):

@@ -183,7 +183,7 @@ def nonlinearity(prob, u):
     return prob.k_coef * np.exp(u)
 
 
-def allocating_fixed_point(prob, u0=None, tol=1e-10, max_iter=10_000):
+def allocating_fixed_point(prob, tol=1e-10, max_iter=10_000):
     """``bvp.solve_fixed_point`` as it was before it reused its n-vectors.
 
     f(u), the sine bump, the solver's weights and g are new arrays here, made
@@ -193,14 +193,11 @@ def allocating_fixed_point(prob, u0=None, tol=1e-10, max_iter=10_000):
     require_nonsingular(prob.cfg)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if u0 is None:
-        i = np.arange(1, prob.n + 1, dtype=float)
-        u = np.sin(np.pi * i / (prob.n + 1))
-        if prob.cfg.b < 0:
-            u = u * -_parity(np.arange(1, prob.n + 1))
-        u = 0.5 * u / np.abs(u).max()
-    else:
-        u = np.array(u0, dtype=float)
+    i = np.arange(1, prob.n + 1, dtype=float)
+    u = np.sin(np.pi * i / (prob.n + 1))
+    if prob.cfg.b < 0:
+        u = u * -_parity(np.arange(1, prob.n + 1))
+    u = 0.5 * u / np.abs(u).max()
 
     h2 = prob.h**2
     solve = allocating_inverse_solver(prob.cfg, scale=h2 / -prob.c_hat)

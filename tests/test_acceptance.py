@@ -348,7 +348,7 @@ def test_criterion_10_property_suite():
         cfg = MatrixConfig(n, b, bt)
         prob = BvpProblem(n=n, length=1.0, k_coef=2.0, nonlinearity="fisher", cfg=cfg)
         u0 = _initial_iterate(prob)
-        stepped = solve_fixed_point(prob, u0=u0, tol=np.inf).solution
+        stepped = solve_fixed_point(prob, tol=np.inf).solution
         inverse = assemble_inverse(cfg).entries / -prob.c_hat
         explicit = inverse @ (prob.h**2 * nonlinearity(prob, u0))
         if np.max(np.abs(stepped - explicit)) > 1e-10:

@@ -17,7 +17,7 @@ from neartoeplitz import (
     MatrixConfig, assemble_inverse, build_matrix, exact_infinity_norm, is_singular,
     near_toeplitz_inverse_entry, trace_inverse, upper_bound,
 )
-from neartoeplitz import cli
+from neartoeplitz import bvp, cli
 from neartoeplitz.cli import main
 
 from helpers import bitwise_equal, regime_corners, tril_mirror_assembly
@@ -353,6 +353,18 @@ ORDER_CALLS = [
 ]
 
 
+#: The reports that print O(n) or O(n^2) numbers: (the options after --n, the largest order
+#: within ``cli._MAX_PRINTED``, the numbers printed at one order more, the output that holds
+#: them, the computation the CLI starts after the check or None).
+BUDGET_CALLS = {
+    "invert": (["--b", "2", "--btilde", "3"], 1024, 1025**2, "entries", (cli, "assemble_inverse")),
+    "signs": (["--b", "2", "--btilde", "-1"], 1024, 1025**2, "pattern", None),
+    "rowsum": (["--b", "-2", "--btilde", "3"], 2**20, 2**20 + 1, "values", (cli, "rowsum")),
+    "solve-bvp": (["--b", "2", "--btilde", "2", "--length", "1", "--k", "1", "--nonlinearity",
+                   "fisher"], 2**20, 2**20 + 1, "solution", (bvp, "solve_fixed_point")),
+}
+
+
 class TestExitCodes:
     def test_singular_is_3(self, capsys):
         code, out, err = run_cli(capsys, "norm", "--n", "5", "--b", "2", "--btilde", "1")
@@ -481,18 +493,55 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("b", ["2", "-2"])
     def test_row_list_above_its_cap_is_2_before_any_row(self, capsys, monkeypatch, b):
-        # 2**28 rows are as many values as invert prints at its order cap; one more is refused.
+        # A report prints at most 2**20 numbers; one row more is refused.
         monkeypatch.setattr(cli, "rowsum", lambda cfg, i: pytest.fail("a row was computed"))
-        for n in (str(2**28 + 1), "10000000000"):
+        for n in (str(2**20 + 1), "10000000000"):
             code, out, err = run_cli(capsys, "rowsum", "--n", n, "--b", b, "--btilde", "3")
             assert (code, out) == (2, "")
             assert strict_json(err)["error"] == {
                 "type": "DenseSizeError",
-                "message": f"order {n} is above 2**28, the cap on listed row sums"}
+                "message": f"the report would print {n} numbers, above 2**20, the cap"}
         # A singular configuration answers as singular at any order, as before the cap.
         singular = "1" if b == "2" else "-1"
         code, out, err = run_cli(capsys, "rowsum", "--n", "10000000000", "--b", b, "--btilde", singular)
         assert (code, out, strict_json(err)["error"]["type"]) == (3, "", "SingularMatrixError")
+
+    @pytest.mark.parametrize("command", list(BUDGET_CALLS))
+    def test_report_above_the_budget_is_2_before_the_work(self, capsys, monkeypatch, command):
+        """One order over ``cli._MAX_PRINTED`` numbers is refused before the work and the
+        rendering; ``signs`` builds its O(n) pattern before the check, so only its rendering
+        is patched."""
+        argv, n, count, _, work = BUDGET_CALLS[command]
+        def fail(*args, **kwargs):
+            pytest.fail("the refused report was computed")
+        for module, name in filter(None, [work, (cli, "_report")]):
+            monkeypatch.setattr(module, name, fail)
+        code, out, err = run_cli(capsys, command, "--n", str(n + 1), *argv)
+        assert (code, out) == (2, "")
+        assert strict_json(err)["error"] == {
+            "type": "DenseSizeError",
+            "message": f"the report would print {count} numbers, above 2**20, the cap"}
+
+    @pytest.mark.parametrize("command", list(BUDGET_CALLS))
+    def test_report_at_the_budget_is_computed(self, capsys, monkeypatch, command):
+        """Exactly ``cli._MAX_PRINTED`` numbers pass the check; only the rendering is stubbed,
+        and the row sums, which take about 1 s for 2**20 rows."""
+        argv, n, _, key, _ = BUDGET_CALLS[command]
+        outputs = []
+        monkeypatch.setattr(cli, "rowsum", lambda cfg, i: 0.0)
+        monkeypatch.setattr(cli, "_report", lambda args, out: outputs.append(out) or "rendered\n")
+        assert run_cli(capsys, command, "--n", str(n), *argv) == (0, "rendered\n", "")
+        assert np.size(outputs[0][key]) == cli._MAX_PRINTED
+
+    def test_refusals_of_the_config_come_before_the_budget(self, capsys):
+        """A singular corner exits 3 and an unstated sign pattern 2 with its own error, as below
+        the budget (the full ``rowsum`` is checked with its row cap above)."""
+        for command, n in {"invert": "1025", "solve-bvp": str(2**20 + 1)}.items():
+            argv = BUDGET_CALLS[command][0][4:]  # the options after --btilde
+            code, out, err = run_cli(capsys, command, "--n", n, "--b", "-2", "--btilde", "-1", *argv)
+            assert (code, out, strict_json(err)["error"]["type"]) == (3, "", "SingularMatrixError")
+        code, out, err = run_cli(capsys, "signs", "--n", "1025", "--b", "-2", "--btilde", "-1")
+        assert (code, out, strict_json(err)["error"]["type"]) == (2, "", "UnsupportedCaseError")
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_partial_is_valid_json(self, capsys):

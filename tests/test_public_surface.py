@@ -53,7 +53,7 @@ SIGNATURES = {
     "rowsums": ("cfg",),
     "sign_pattern": ("cfg",),
     "singularity_report": ("cfg",),
-    "solve_fixed_point": ("prob", "u0", "tol", "max_iter"),
+    "solve_fixed_point": ("prob", "tol", "max_iter"),
     "trace_inverse": ("cfg",),
     "upper_bound": ("cfg",),
 }
