@@ -22,7 +22,7 @@ print()
 
 matrix = build_matrix(cfg)
 print("dense form:")
-print(matrix.data)
+print(matrix)
 print()
 
 print(f"corner update strength beta = {cfg.b_tilde - cfg.b}")
@@ -37,7 +37,7 @@ print()
 
 ref = reference_inverse(matrix)
 print(f"max deviation from dense elimination: {np.max(np.abs(inv.entries - ref.entries)):.2e}")
-residual = matrix.data @ inv.entries - np.eye(cfg.n)
+residual = matrix @ inv.entries - np.eye(cfg.n)
 print(f"residual |T * inv - I|_max:           {np.max(np.abs(residual)):.2e}")
 print()
 

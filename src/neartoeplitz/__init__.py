@@ -46,8 +46,8 @@ from .errors import (
 
 _LAZY = {name: module for module, names in (
     ("bvp", ("BvpProblem", "BvpResult", "expected_rate", "solve_fixed_point")),
-    ("oracle", ("DenseMatrix", "build_matrix", "reference_inverse", "reference_norm",
-                "reference_rowsums", "reference_trace")),
+    ("oracle", ("build_matrix", "reference_inverse", "reference_norm", "reference_rowsums",
+                "reference_trace")),
 ) for name in names}
 
 
@@ -61,7 +61,6 @@ def __getattr__(name):
 __all__ = [
     "BvpProblem",
     "BvpResult",
-    "DenseMatrix",
     "DenseSizeError",
     "DivergenceError",
     "InverseMatrix",

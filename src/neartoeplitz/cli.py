@@ -1,16 +1,17 @@
 """Command-line front end.
 
-Each subcommand wraps one library call, except ``bounds`` (both bounds next to the exact norm)
-and ``rowsum`` without ``--i`` (the O(1) row sum for every row next to ``rowsum_bounds``), and
-emits a deterministic report: JSON by default, CSV with ``--format csv`` (``reproduce``: CSV
-only); computed floats are printed with 10 significant digits, echoed inputs as parsed.  Exit
-codes: 0 success, 2 usage or invalid argument (also an unwritable ``--out``, a non-finite
-result, a refused allocation or a report of more than ``_MAX_PRINTED`` numbers, refused
-before the work), 3 singular configuration, 4 diverging iteration.  Every failure writes one
-JSON error object to stderr and nothing to stdout, except argparse's own usage errors (an
-unknown, missing or malformed option), which exit 2 with its usage text.  Every option
-changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``, and report
-for -c_hat times the matrix; ``singular`` answers at the library's one tolerance.
+Each subcommand wraps one library call, except ``bounds`` (both bounds next to the exact norm),
+``invert`` (the O(1) entry function at every index) and ``rowsum`` without ``--i`` (the O(1) row
+sum for every row next to ``rowsum_bounds``); only ``solve-bvp`` and ``reproduce table5`` /
+``table6`` load numpy.  Each emits a deterministic report: JSON by default, CSV with ``--format
+csv`` (``reproduce``: CSV only); computed floats are printed with 10 significant digits, echoed
+inputs as parsed.  Exit codes: 0 success, 2 usage or invalid argument (also an unwritable
+``--out``, a non-finite result, a refused allocation or a report of more than ``_MAX_PRINTED``
+numbers, refused before the work), 3 singular configuration, 4 diverging iteration.  Every
+failure writes one JSON error object to stderr and nothing to stdout, except argparse's own
+usage errors (an unknown, missing or malformed option), which exit 2 with its usage text.
+Every option changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``,
+and report for -c_hat times the matrix; ``singular`` answers at the library's one tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .analysis import (
     exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, sign_pattern, trace_inverse, upper_bound,
 )
 from .config import TABLE_IDS, MatrixConfig, _c_hat, require_nonsingular, singularity_report
-from .core import assemble_inverse, near_toeplitz_inverse_entry
+from .core import CLOSED_FORM, near_toeplitz_inverse_entry
 from .errors import DenseSizeError, DivergenceError, SingularMatrixError
 
 EXIT_OK = 0
@@ -51,10 +52,8 @@ def _finite(value: float) -> float:
 
 
 def _round10(obj):
-    """Normalise a result for output: numpy arrays and scalars as Python lists and values,
-    floats rounded to 10 significant digits and refused when non-finite (``_finite``)."""
-    if hasattr(obj, "tolist"):
-        obj = obj.tolist()
+    """Normalise a result of Python values for output: floats rounded to 10 significant
+    digits and refused when non-finite (``_finite``), tuples as lists."""
     if isinstance(obj, float):
         return float(f"{_finite(obj):.10g}")
     if isinstance(obj, (list, tuple)):
@@ -119,9 +118,9 @@ def cmd_invert(args) -> str:
     cfg, c_hat = _cfg(args), _c_hat(args.chat)
     require_nonsingular(cfg)
     _require_printable(cfg.n**2)
-    entries, source = assemble_inverse(cfg)
-    entries /= -c_hat
-    return _report(args, {"n": args.n, "source": source, "entries": entries})
+    span = range(1, cfg.n + 1)
+    entries = [[near_toeplitz_inverse_entry(cfg, i, j) / -c_hat for j in span] for i in span]
+    return _report(args, {"n": args.n, "source": CLOSED_FORM, "entries": entries})
 
 
 def cmd_trace(args) -> str:
@@ -178,7 +177,7 @@ def cmd_solve_bvp(args) -> str:
         "observed_rate": res.observed_rate,
         "expected_rate": res.expected_rate,
         "converged": res.converged,
-        "solution": res.solution,
+        "solution": res.solution.tolist(),
     }
     return _report(args, outputs)
 

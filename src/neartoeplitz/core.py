@@ -47,7 +47,8 @@ def near_toeplitz_inverse_entry(cfg: MatrixConfig, i: int, j: int) -> float:
         (2/b)^(i+1-j) * (j*(1+r) - r) * ((n+1-i)*(1+r) - r)
                       / ((1+r) * (n+1 + r*(n-1))).
 
-    The inverse of -c_hat A is this divided by -c_hat, as the CLI's ``entry`` prints it.
+    The inverse of -c_hat A is this divided by -c_hat, as the CLI's ``entry`` and
+    ``invert`` print it.
 
     Raises SingularMatrixError for singular configurations and IndexError for
     indices outside 1..n.

@@ -1,15 +1,13 @@
 """Brute-force reference path for every property test.
 
-Builds the dense matrix explicitly and inverts it by Gauss-Jordan elimination
-with partial pivoting, in place (n^3 flops, n^2 memory; Press et al.,
-*Numerical Recipes*, sec. 2.1).  Deliberately shares no code with the
-closed-form modules: no entry formulas, no tridiagonal shortcuts, no library
-inverse.
+Builds the dense matrix explicitly and inverts it by Gauss-Jordan elimination with partial
+pivoting, in place (n^3 flops, n^2 memory; Press et al., *Numerical Recipes*, sec. 2.1).
+Deliberately shares only ``MatrixConfig``, the dense-order cap and the result type
+``InverseMatrix`` with the closed-form modules: no entry formulas, no tridiagonal shortcuts, no
+library inverse.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,17 +19,10 @@ from .errors import PivotBreakdownError
 PIVOT_RTOL = 1e-13
 
 
-@dataclass
-class DenseMatrix:
-    """Explicit n x n storage of the tridiagonal operator."""
-
-    data: np.ndarray
-
-
-def build_matrix(cfg: MatrixConfig) -> DenseMatrix:
+def build_matrix(cfg: MatrixConfig) -> np.ndarray:
     """Place b on the diagonal, -1 off it, b_tilde at both corners; n > 2**14 raises DenseSizeError.
 
-    The scaled matrix -c_hat A of a BvpProblem is ``-prob.c_hat * build_matrix(prob.cfg).data``.
+    The scaled matrix -c_hat A of a BvpProblem is ``-prob.c_hat * build_matrix(prob.cfg)``.
     """
     n = cfg.n
     require_dense_order(n)
@@ -42,11 +33,11 @@ def build_matrix(cfg: MatrixConfig) -> DenseMatrix:
     data[idx + 1, idx] = -1.0
     data[0, 0] = cfg.b_tilde
     data[n - 1, n - 1] = cfg.b_tilde
-    return DenseMatrix(data=data)
+    return data
 
 
-def _as_array(m: DenseMatrix | np.ndarray) -> np.ndarray:
-    data = m.data if isinstance(m, DenseMatrix) else np.asarray(m, dtype=float)
+def _as_array(m: np.ndarray) -> np.ndarray:
+    data = np.asarray(m, dtype=float)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {data.shape}")
     if data.size == 0:
@@ -56,7 +47,7 @@ def _as_array(m: DenseMatrix | np.ndarray) -> np.ndarray:
     return np.array(data, dtype=float)
 
 
-def reference_inverse(m: DenseMatrix | np.ndarray) -> InverseMatrix:
+def reference_inverse(m: np.ndarray) -> InverseMatrix:
     """Invert by Gauss-Jordan elimination with partial pivoting, in place.
 
     Raises PivotBreakdownError when the selected pivot magnitude falls to
@@ -107,19 +98,19 @@ def reference_inverse(m: DenseMatrix | np.ndarray) -> InverseMatrix:
     return InverseMatrix(entries=a, source=ORACLE)
 
 
-def reference_norm(m: DenseMatrix | np.ndarray) -> float:
+def reference_norm(m: np.ndarray) -> float:
     """Infinity norm (max absolute row sum) of the inverse of m."""
     inv = reference_inverse(m)
     return float(np.abs(inv.entries).sum(axis=1).max())
 
 
-def reference_trace(m: DenseMatrix | np.ndarray) -> float:
+def reference_trace(m: np.ndarray) -> float:
     """Trace of the inverse of m."""
     inv = reference_inverse(m)
     return float(np.trace(inv.entries))
 
 
-def reference_rowsums(m: DenseMatrix | np.ndarray) -> np.ndarray:
+def reference_rowsums(m: np.ndarray) -> np.ndarray:
     """Row sums of the inverse of m."""
     inv = reference_inverse(m)
     return inv.entries.sum(axis=1)

@@ -475,7 +475,7 @@ class TestAssembleInverse:
     def test_residual(self):
         cfg = MatrixConfig(10, 2, 5.93)
         inv = assemble_inverse(cfg)
-        residual = build_matrix(cfg).data @ inv.entries - np.eye(10)
+        residual = build_matrix(cfg) @ inv.entries - np.eye(10)
         assert np.max(np.abs(residual)) <= 1e-9
 
     def test_negative_b_matches_oracle(self):
@@ -683,7 +683,7 @@ class TestInverseSolver:
     def test_against_oracle(self, n):
         # Both are backward stable, so they agree to 2 * 64 eps * kappa.
         for cfg, c_hat, rhs in solver_cases(n):
-            dense = build_matrix(cfg).data * -c_hat
+            dense = build_matrix(cfg) * -c_hat
             inv = reference_inverse(dense).entries
             kappa = np.abs(dense).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
             solve = _inverse_solver(cfg, scale=1.0 / -c_hat)

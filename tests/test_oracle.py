@@ -31,7 +31,7 @@ def bvp_problem(cfg, **kwargs):
 
 def assert_scaled_inverse(prob):
     """-c_hat A of a BVP problem times the closed-form inverse divided by -c_hat is the identity."""
-    scaled = -prob.c_hat * build_matrix(prob.cfg).data
+    scaled = -prob.c_hat * build_matrix(prob.cfg)
     product = scaled @ (assemble_inverse(prob.cfg).entries / -prob.c_hat)
     assert np.max(np.abs(product - np.eye(prob.n))) <= 1e-12
 
@@ -39,7 +39,7 @@ def assert_scaled_inverse(prob):
 class TestBuildMatrix:
     def test_toeplitz_corner(self):
         m = build_matrix(MatrixConfig(4, 2, 2.0))
-        assert np.array_equal(m.data, tridiag(4, 2))
+        assert np.array_equal(m, tridiag(4, 2))
 
     def test_default_scaling_is_identity(self):
         prob = bvp_problem(MatrixConfig(4, 2, 7.0))
@@ -50,9 +50,9 @@ class TestBuildMatrix:
 
     def test_corner_placement(self):
         m = build_matrix(MatrixConfig(4, -2, 0.5))
-        assert list(np.diag(m.data)) == [0.5, -2.0, -2.0, 0.5]
-        assert m.data[0, 1] == -1.0 and m.data[2, 3] == -1.0
-        assert m.data[0, 2] == 0.0
+        assert list(np.diag(m)) == [0.5, -2.0, -2.0, 0.5]
+        assert m[0, 1] == -1.0 and m[2, 3] == -1.0
+        assert m[0, 2] == 0.0
 
     def test_scaled_multiplies_by_minus_chat(self):
         assert_scaled_inverse(bvp_problem(MatrixConfig(4, 2, 3.0), c_hat=2.5))
@@ -81,7 +81,7 @@ class TestReferenceInverse:
         for n, b, bt in [(6, 2, 4.2), (11, -2, -0.3), (17, 2, -5.0), (24, -2, 6.6)]:
             m = build_matrix(MatrixConfig(n, b, bt))
             inv = reference_inverse(m)
-            residual = m.data @ inv.entries - np.eye(n)
+            residual = m @ inv.entries - np.eye(n)
             assert np.max(np.abs(residual)) <= 1e-10 * n
 
     def test_rejects_nonsquare(self):
@@ -142,14 +142,14 @@ class TestInPlaceElimination:
         for n in (4, 5, 6, 7, 8, 9, 12, 17, 24, 31, 60):
             for b in (2, -2):
                 for bt in regime_corners(n, b):
-                    assert_same_outcome(build_matrix(MatrixConfig(n, b, bt)).data)
-                    assert_same_outcome(build_matrix(MatrixConfig(n, b, bt)).data * -2.5)
+                    assert_same_outcome(build_matrix(MatrixConfig(n, b, bt)))
+                    assert_same_outcome(build_matrix(MatrixConfig(n, b, bt)) * -2.5)
 
     def test_same_breakdown_at_both_singular_corners(self):
         for n in (4, 5, 6, 9, 16, 31, 60):
             for b in (2, -2):
                 for bt in MatrixConfig(n, b, 2.0).singular_points():
-                    m = build_matrix(MatrixConfig(n, b, bt)).data
+                    m = build_matrix(MatrixConfig(n, b, bt))
                     with pytest.raises(PivotBreakdownError):
                         reference_inverse(m)
                     assert_same_outcome(m)
@@ -173,7 +173,7 @@ class TestInPlaceElimination:
     def test_peak_memory_is_two_matrices(self):
         # The copy and one update buffer: about 2.4 matrices at n = 200.
         n = 200
-        m = build_matrix(MatrixConfig(n, 2, 0.7)).data
+        m = build_matrix(MatrixConfig(n, 2, 0.7))
         tracemalloc.start()
         try:
             reference_inverse(m)

@@ -13,7 +13,7 @@ import neartoeplitz
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "BvpProblem", "BvpResult", "DenseMatrix", "DenseSizeError", "DivergenceError",
+    "BvpProblem", "BvpResult", "DenseSizeError", "DivergenceError",
     "InverseMatrix", "MatrixConfig", "PivotBreakdownError", "SingularMatrixError",
     "UnsupportedCaseError", "UpperBound", "assemble_inverse", "build_matrix",
     "exact_infinity_norm", "expected_rate", "is_singular", "lower_bound",
@@ -29,7 +29,6 @@ PUBLIC = [
 SIGNATURES = {
     "BvpProblem": ("n", "length", "k_coef", "nonlinearity", "cfg", "bc_left", "bc_right", "c_hat"),
     "BvpResult": ("solution", "iterations", "observed_rate", "expected_rate", "converged", "steps"),
-    "DenseMatrix": ("data",),
     "DenseSizeError": None,
     "DivergenceError": ("message", "partial"),
     "InverseMatrix": ("entries", "source"),
@@ -113,7 +112,7 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from neartoeplitz import *", namespace)
     del namespace["__builtins__"]
-    assert len(namespace) == 29 and sorted(namespace) == PUBLIC
+    assert len(namespace) == 28 and sorted(namespace) == PUBLIC
     assert all(namespace[name] is getattr(neartoeplitz, name) for name in PUBLIC)
 
 
