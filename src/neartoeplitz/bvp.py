@@ -2,8 +2,9 @@
 
 Central differences turn the two-point boundary-value problem into the nonlinear system
 -c_hat A u = h^2 f(u) + boundary corrections, with A the normalized corner-perturbed
-operator.  The solver runs the substitution iteration u <- (-c_hat A)^{-1} (h^2 f(u) + bc)
-and reports the observed contraction rate next to the rate predicted from the infinity-norm
+operator.  The solver runs the substitution iteration u <- (-c_hat A)^{-1} (h^2 f(u) + bc),
+one factored solve per step with h^2 k / -c_hat and bc in the solve's input weights, and
+reports the observed contraction rate next to the rate predicted from the infinity-norm
 upper bound: h^2 * ||A^{-1}|| * L_c / |c_hat|, with L_c the Lipschitz constant of f on [0, 1].
 """
 
@@ -34,8 +35,8 @@ class BvpProblem:
     cfg is the normalized operator A and c_hat (default -1) scales it to -c_hat A; bc_left
     and bc_right are Dirichlet values entering the right-hand side.  2**-400 <= |c_hat| <=
     2**400 (stored as a float), length, k_coef and the boundary values must be finite, and
-    h^2/|c_hat| must lie in [2**-1022, inf), so that the solver's weight h^2/-c_hat and its
-    inverse are finite and nonzero; anything else raises ValueError.
+    h^2/|c_hat| must lie in [2**-1022, inf), so that the solver's weight h^2/-c_hat per unit
+    k is finite and normal; anything else raises ValueError.
     """
 
     n: int
@@ -53,7 +54,7 @@ class BvpProblem:
             raise ValueError(f"grid size {self.n!r} is not the operator order {self.cfg.n}")
         if not 0 < self.length < math.inf:
             raise ValueError(f"domain length must be positive and finite, got {self.length}")
-        # h*h cannot raise where h**2 can; the bound keeps h^2/|c_hat| and its inverse finite.
+        # h*h cannot raise where h**2 can; the bound keeps h^2/|c_hat| finite and normal.
         if not 2.0**-1022 <= self.h * self.h / abs(self.c_hat) < math.inf:
             raise ValueError(f"h^2/|c_hat| must be finite and >= 2**-1022, got h = {self.h!r}")
         for name in ("k_coef", "bc_left", "bc_right"):
@@ -66,14 +67,14 @@ class BvpProblem:
     def h(self) -> float:
         return self.length / self.n
 
-    def _f_into(self, u: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None):
-        """f(u) written into ``out`` (not ``u``), as (k u)(1 - u) or exp(u) k."""
+    def _f_into(self, u: np.ndarray, w: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """f(u) / k times the weights w, into ``out`` (not ``u``): (u w)(1 - u) or exp(u) w."""
         if self.nonlinearity == FISHER:
-            np.multiply(u, self.k_coef, out=out)
+            np.multiply(u, w, out=out)
             out *= np.subtract(1.0, u, out=scratch)
         else:
             np.exp(u, out=out)
-            out *= self.k_coef
+            out *= w
         return out
 
 
@@ -122,14 +123,13 @@ def _initial_iterate(prob: BvpProblem) -> np.ndarray:
 def solve_fixed_point(prob: BvpProblem, *, tol: float = 1e-10, max_iter: int = 10_000) -> BvpResult:
     """Iterate u <- A^{-1}(h^2 f(u) + bc) from ``_initial_iterate`` until the step is below tol.
 
-    The operator is factored once per solve (``core._inverse_solver``) with
-    h^2 folded into its weights; by linearity the boundary part g = A^{-1} bc
-    is solved once, so each step is u <- h^2 A^{-1} f(u) + g in O(n), with
-    no matrix and no per-step right-hand side.  The inverse is never
-    materialized.  The observed rate is the maximum ratio of successive step
-    sizes after the first step; ``steps`` records every step size.  Five
-    consecutive growing steps, or a non-finite step, raise DivergenceError
-    with the partial result attached.
+    The operator is factored once per solve (``core._inverse_solver``) with h^2 k / -c_hat
+    in its input weights; each step writes u (1 - u) or exp(u) times them, adds the
+    boundary values to rows 1 and n, and finishes one solve in place: O(n), with no
+    matrix, no boundary vector and no second solve.  The inverse is never materialized.
+    The observed rate is the maximum ratio of successive step sizes after the first
+    step; ``steps`` records every step size.  Five consecutive growing steps, or a
+    non-finite step, raise DivergenceError with the partial result attached.
     """
     require_nonsingular(prob.cfg)
     if not tol > 0:
@@ -138,18 +138,15 @@ def solve_fixed_point(prob: BvpProblem, *, tol: float = 1e-10, max_iter: int = 1
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     u = _initial_iterate(prob)
 
-    h2 = prob.h**2
-    # An overflow in the weights, in g or in f(u) turns entries of the next
-    # iterate into inf or nan; the non-finite step reports it, so numpy stays quiet.
+    # An overflow in the weights or in f(u) turns entries of the next iterate
+    # into inf or nan; the non-finite step reports it, so numpy stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         # The scaled operator -c_hat * A couples the boundary nodes through its
         # off-diagonal c_hat; moved to the right-hand side they give -c_hat * bc,
-        # so g = A^{-1} bc.  The solver carries h^2 / -c_hat, undone on its input.
-        solve = _inverse_solver(prob.cfg, scale=h2 / -prob.c_hat)
-        g = np.zeros(prob.n)
-        g[0], g[-1] = prob.bc_left, prob.bc_right
-        g *= -prob.c_hat / h2
-        solve(g, out=g)
+        # so a step is A^{-1} (h^2 / -c_hat f(u) + bc): bc enters with the unscaled input
+        # weights of rows 1 and n, 1 and n (-n for b = -2 at an even n).
+        pre, back = _inverse_solver(prob.cfg, scale=prob.h**2 / -prob.c_hat * prob.k_coef)
+        bc_last = prob.bc_right * (-prob.n if prob.cfg._flip and prob.n % 2 == 0 else prob.n)
 
         exp_rate = expected_rate(prob)
         steps: list[float] = []
@@ -164,10 +161,12 @@ def solve_fixed_point(prob: BvpProblem, *, tol: float = 1e-10, max_iter: int = 1
                              expected_rate=exp_rate, converged=converged, steps=steps)
 
         for _ in range(max_iter):
-            solve(prob._f_into(u, u_next, scratch=diff), out=u_next)
-            u_next += g
+            prob._f_into(u, pre, u_next, scratch=diff)
+            u_next[0] += prob.bc_left
+            u_next[-1] += bc_last
+            back(u_next)
             np.subtract(u_next, u, out=diff)
-            step = float(np.abs(diff, out=diff).max())
+            step = float(max(diff.max(), -diff.min())) + 0.0  # max |diff|, and no -0.0
             if not math.isfinite(step):
                 raise DivergenceError("iterate overflowed", partial=result())
             if steps:

@@ -66,7 +66,10 @@ def near_toeplitz_inverse_entry(cfg: MatrixConfig, i: int, j: int) -> float:
 
 
 def _inverse_solver(cfg: MatrixConfig, scale: float):
-    """Factor the operator once; return ``solve(x, out=None)`` giving scale * A^{-1} x in O(n).
+    """Factor the operator once; return the input weights ``pre`` and the in-place ``back``.
+
+    ``back(pre * x)`` is scale * A^{-1} x in O(n), written over its argument.  The
+    weights are scale * i, or -scale (-1)^i i for b = -2, so a caller may weight x itself.
 
     For b = +2, A = T + beta (e1 e1^T + en en^T) with T = tridiag(-1, 2, -1)
     and beta = b_tilde - 2.  T^{-1} is applied through its LU factors, written
@@ -84,9 +87,7 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     ||A y - x|| stays within a few eps of ||A|| ||y|| + ||x||, also near the
     singular corners.  The rank-one generator product u_min(i,j) v_max(i,j) / D
     is not: it loses digits on oscillating right-hand sides and near the
-    corners.  ``solve`` works in ``out`` alone, so it is reentrant, and ``x``
-    may be ``out``: each entry of ``x`` is read before that entry of ``out``
-    is written, and ``x`` is not read again.
+    corners.  ``back`` works in its argument alone, so it is reentrant.
     """
     import numpy as np
 
@@ -105,8 +106,7 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
         np.negative(pre[1::2], out=pre[1::2])
         np.negative(post[::2], out=post[::2])
 
-    def solve(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.multiply(x, pre, out=out)
+    def back(out: np.ndarray) -> np.ndarray:
         np.add.accumulate(out, out=out)
         out *= mid
         rev = out[::-1]
@@ -124,7 +124,7 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
             out -= c1
         return out
 
-    return solve
+    return pre, back
 
 
 def _empty_square(n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from neartoeplitz import (
     singularity_report,
 )
 from neartoeplitz.config import require_nonsingular
-from neartoeplitz.core import _parity
+from neartoeplitz.core import _inverse_solver, _parity
 from neartoeplitz.oracle import PIVOT_RTOL
 
 SWEEP_N = range(4, 31)
@@ -129,11 +129,18 @@ def banded_lu_solve(cfg, x, c_hat=-1.0):
     return solve_banded((1, 1), ab, x)
 
 
+def inverse_solver(cfg, scale):
+    """``solve(x, out=None)`` giving scale * A^{-1} x: ``core._inverse_solver``'s two halves."""
+    pre, back = _inverse_solver(cfg, scale)
+    return lambda x, out=None: back(np.multiply(x, pre, out=out))
+
+
 def allocating_inverse_solver(cfg, scale):
     """``core._inverse_solver`` as it was before it built its weights in place.
 
-    Kept as the bitwise reference of the factored solve; see that function for
-    the algebra.
+    Returns ``(pre, back)`` as that function does, but ``back(x)`` leaves the
+    weighted input x alone and returns a new array.  Kept as the bitwise
+    reference of the factored solve; see that function for the algebra.
     """
     require_nonsingular(cfg)
     n = cfg.n
@@ -152,13 +159,9 @@ def allocating_inverse_solver(cfg, scale):
         sigma = _parity(np.arange(1, n + 1))
         pre = -scale * sigma * k
         post = sigma * k
-    buf = np.empty(n)
 
-    def solve(x, out=None):
-        if out is None:
-            out = np.empty(n)
-        np.multiply(x, pre, out=buf)
-        np.add.accumulate(buf, out=buf)
+    def back(x):
+        buf = np.add.accumulate(x)
         np.multiply(buf, mid, out=buf)
         rev = buf[::-1]
         np.add.accumulate(rev, out=rev)
@@ -166,18 +169,22 @@ def allocating_inverse_solver(cfg, scale):
         c_sum, c_diff = q_sum * (z1 + zn), q_diff * (z1 - zn)
         c1 = 0.5 * (c_sum + c_diff)
         np.add(buf, c_diff / (n + 1), out=buf)
-        np.multiply(buf, post, out=out)
+        out = buf * post
         if sigma is None:
             out -= c1
         else:
-            out -= np.multiply(sigma, c1, out=buf)
+            out -= sigma * c1
         return out
 
-    return solve
+    return pre, back
 
 
 def nonlinearity(prob, u):
-    """f(u) = k u (1 - u) or k exp(u) as a new array, the same bits as the solver's in-place f."""
+    """f(u) = k u (1 - u) or k exp(u) as a new array.
+
+    The solver never forms f(u): it folds k into its input weights w and writes
+    (u w)(1 - u) or exp(u) w, as ``allocating_fixed_point`` does with new arrays.
+    """
     if prob.nonlinearity == "fisher":
         return prob.k_coef * u * (1.0 - u)
     return prob.k_coef * np.exp(u)
@@ -186,9 +193,12 @@ def nonlinearity(prob, u):
 def allocating_fixed_point(prob, tol=1e-10, max_iter=10_000):
     """``bvp.solve_fixed_point`` as it was before it reused its n-vectors.
 
-    f(u), the sine bump, the solver's weights and g are new arrays here, made
-    by the same expressions; kept as the bitwise reference of the in-place
-    iteration, with the same step history, rates and DivergenceError messages.
+    The sine bump, the solver's weights w (with h^2 k / -c_hat in them), the
+    weighted input (u w)(1 - u) or exp(u) w and the step's |diff| are new
+    arrays here, made by the same expressions; the boundary values are added
+    to the input's first and last entries times 1 and +-n, the unscaled weights
+    of those rows.  Kept as the bitwise reference of the in-place iteration,
+    with the same step history, rates and DivergenceError messages.
     """
     require_nonsingular(prob.cfg)
     if not tol > 0:
@@ -199,17 +209,12 @@ def allocating_fixed_point(prob, tol=1e-10, max_iter=10_000):
         u = u * -_parity(np.arange(1, prob.n + 1))
     u = 0.5 * u / np.abs(u).max()
 
-    h2 = prob.h**2
-    solve = allocating_inverse_solver(prob.cfg, scale=h2 / -prob.c_hat)
-    bc = np.zeros(prob.n)
-    bc[0], bc[-1] = prob.bc_left, prob.bc_right
-    g = solve(bc * (-prob.c_hat / h2))
+    weights, back = allocating_inverse_solver(prob.cfg, prob.h**2 / -prob.c_hat * prob.k_coef)
+    last = prob.n if prob.cfg.b > 0 or prob.n % 2 else -prob.n
 
     exp_rate = expected_rate(prob)
     steps = []
     growth_streak = 0
-    u_next = np.empty(prob.n)
-    diff = np.empty(prob.n)
 
     def result(converged=False):
         rate = max((b / a for a, b in zip(steps, steps[1:])), default=0.0)
@@ -218,16 +223,20 @@ def allocating_fixed_point(prob, tol=1e-10, max_iter=10_000):
 
     with np.errstate(invalid="ignore"):
         for _ in range(max_iter):
-            solve(nonlinearity(prob, u), out=u_next)
-            u_next += g
-            np.subtract(u_next, u, out=diff)
-            step = float(np.abs(diff, out=diff).max())
+            if prob.nonlinearity == "fisher":
+                x = u * weights * (1.0 - u)
+            else:
+                x = np.exp(u) * weights
+            x[0] += prob.bc_left
+            x[-1] += prob.bc_right * last
+            u_next = back(x)
+            step = float(np.abs(u_next - u).max())
             if not math.isfinite(step):
                 raise DivergenceError("iterate overflowed", partial=result())
             if steps:
                 growth_streak = growth_streak + 1 if step > steps[-1] else 0
             steps.append(step)
-            u, u_next = u_next, u
+            u = u_next
             if step <= tol:
                 return result(True)
             if growth_streak >= 5:
