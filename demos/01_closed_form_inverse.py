@@ -26,7 +26,8 @@ print(matrix)
 print()
 
 print(f"corner update strength beta = {cfg.b_tilde - cfg.b}")
-print(f"capacitance determinant delta = {singularity_report(cfg)['delta']:.6f} (singular iff zero)")
+delta = singularity_report(cfg.n, cfg.b, cfg.b_tilde)["delta"]
+print(f"capacitance determinant delta = {delta:.6f} (singular iff zero)")
 print()
 
 inv = assemble_inverse(cfg)

@@ -26,11 +26,7 @@ from .analysis import (
     trace_inverse,
     upper_bound,
 )
-from .config import (
-    MatrixConfig,
-    is_singular,
-    singularity_report,
-)
+from .config import MatrixConfig, singularity_report
 from .core import (
     InverseMatrix,
     assemble_inverse,
@@ -73,7 +69,6 @@ __all__ = [
     "build_matrix",
     "exact_infinity_norm",
     "expected_rate",
-    "is_singular",
     "lower_bound",
     "near_toeplitz_inverse_entry",
     "reference_inverse",

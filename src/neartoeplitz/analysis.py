@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import MatrixConfig, require_dense_order, require_nonsingular
+from .config import MatrixConfig, require_dense_order
 from .core import _parity
 from .errors import UnsupportedCaseError
 
@@ -33,9 +33,8 @@ def trace_inverse(cfg: MatrixConfig) -> float:
 
     Tr = n(n+2)/6 - 2*r*n / (3*(1+r)) + r*n / (3*(1+r)*(n+1+r*(n-1)))
     with r = b_tilde - 2 in the config's b = +2 frame; b = -2 returns 0.0 - Tr, so an
-    exact zero stays +0.0.  Nonsingularity guarantees 1 + r != 0.
+    exact zero stays +0.0.  A config is nonsingular, so 1 + r != 0.
     """
-    require_nonsingular(cfg)
     n, r, r1 = cfg.n, cfg._r, cfg._r1
     t = n * (n + 2) / 6.0 - 2.0 * r * n / (3.0 * r1) + r * n / (3.0 * r1 * (n + 1 + r * (n - 1)))
     return 0.0 - t if cfg._flip else t
@@ -60,7 +59,6 @@ def rowsums(cfg: MatrixConfig) -> np.ndarray:
     """All n row sums of the inverse, from the closed forms for b = +2 / -2."""
     import numpy as np
 
-    require_nonsingular(cfg)
     return _rowsum(cfg, np.arange(1, cfg.n + 1))
 
 
@@ -69,7 +67,6 @@ def rowsum(cfg: MatrixConfig, i: int) -> float:
     i = operator.index(i)
     if not 1 <= i <= cfg.n:
         raise IndexError(f"row index must lie in 1..{cfg.n}, got {i}")
-    require_nonsingular(cfg)
     return _rowsum(cfg, i)
 
 
@@ -82,7 +79,6 @@ def rowsum_bounds(cfg: MatrixConfig) -> tuple[float, float]:
     """
     if cfg.b != 2:
         raise UnsupportedCaseError("row-sum bounds are stated for b = +2 only")
-    require_nonsingular(cfg)
     n, bt = cfg.n, cfg.b_tilde
     lower = n / (2.0 * (bt - 1.0))
     upper = (n + 1) ** 2 / 8.0 - n * (bt - 2.0) / (2.0 * (bt - 1.0))
@@ -101,7 +97,6 @@ def sign_pattern(cfg: MatrixConfig) -> tuple[tuple[int, ...], ...]:
     """
     if cfg.b != 2 or cfg.b_tilde > 0:
         raise UnsupportedCaseError("sign pattern is stated for b = +2 with b_tilde <= 0")
-    require_nonsingular(cfg)
     require_dense_order(cfg.n)
     if cfg.b_tilde < 0:
         blocks = ((-1, -1, -1, -1, 1),) + ((-1, 1, 1, 1, -1),) * 3 + ((1, -1, -1, -1, -1),)
@@ -124,7 +119,6 @@ def exact_infinity_norm(cfg: MatrixConfig) -> float:
     the top ceil(n/2) rows (the inverse is centrosymmetric) carries both sums; the cap bounds it,
     and int / int division rounds the max correctly.
     """
-    require_nonsingular(cfg)
     require_dense_order(cfg.n)
     n = cfg.n
     num, den = cfg._bt.as_integer_ratio()
@@ -143,7 +137,6 @@ def lower_bound(cfg: MatrixConfig) -> float:
     L = max{ |n(n-2)/8 - n/(2(1-b_tilde))|, |n/(2(1-b_tilde))| } for b = 2;
     for b = -2 the same value at the mirrored corner of the config's b = +2 frame.
     """
-    require_nonsingular(cfg)
     n, bt = cfg.n, cfg._bt
     half = n / (2.0 * (1.0 - bt))
     return max(abs(n * (n - 2) / 8.0 - half), abs(half))
@@ -173,7 +166,6 @@ def upper_bound(cfg: MatrixConfig) -> UpperBound:
     endpoints: b_tilde equal to (n-2)/(n-1) takes the linear branch, b_tilde = 0
     the max{S, T} branch.  For n >= 9 and b_tilde <= 0 max{S, T} collapses to S.
     """
-    require_nonsingular(cfg)
     n, bt = cfg.n, cfg._bt
     names = _BRANCHES_BM2 if cfg._flip else _BRANCHES_B2
     gamma = (2.0 - bt) / (1.0 - bt)

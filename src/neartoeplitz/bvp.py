@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import upper_bound
-from .config import MatrixConfig, _c_hat, require_nonsingular
+from .config import MatrixConfig, _c_hat
 from .core import _inverse_solver
 from .errors import DivergenceError
 
@@ -131,7 +131,6 @@ def solve_fixed_point(prob: BvpProblem, *, tol: float = 1e-10, max_iter: int = 1
     step; ``steps`` records every step size.  Five consecutive growing steps, or a
     non-finite step, raise DivergenceError with the partial result attached.
     """
-    require_nonsingular(prob.cfg)
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not operator.index(max_iter) >= 1:
@@ -166,7 +165,8 @@ def solve_fixed_point(prob: BvpProblem, *, tol: float = 1e-10, max_iter: int = 1
             u_next[-1] += bc_last
             back(u_next)
             np.subtract(u_next, u, out=diff)
-            step = float(max(diff.max(), -diff.min())) + 0.0  # max |diff|, and no -0.0
+            # max |diff|, and no -0.0; the ufunc reductions skip the methods' Python wrappers
+            step = float(max(np.maximum.reduce(diff), -np.minimum.reduce(diff))) + 0.0
             if not math.isfinite(step):
                 raise DivergenceError("iterate overflowed", partial=result())
             if steps:

@@ -7,7 +7,9 @@ sum for every row next to ``rowsum_bounds``); only ``solve-bvp`` and ``reproduce
 csv`` (``reproduce``: CSV only); computed floats are printed with 10 significant digits, echoed
 inputs as parsed.  Exit codes: 0 success, 2 usage or invalid argument (also an unwritable
 ``--out``, a non-finite result, a refused allocation or a report of more than ``_MAX_PRINTED``
-numbers, refused before the work), 3 singular configuration, 4 diverging iteration.  Every
+numbers, refused before the work), 3 singular configuration, 4 diverging iteration.  The
+triple is checked first, when the config is built: its range (2), then its singularity (3);
+``--chat``, the indices, the BVP options and the sign-pattern regime only after it.  Every
 failure writes one JSON error object to stderr and nothing to stdout, except argparse's own
 usage errors (an unknown, missing or malformed option), which exit 2 with its usage text.
 Every option changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``,
@@ -24,7 +26,7 @@ import sys
 from .analysis import (
     exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, sign_pattern, trace_inverse, upper_bound,
 )
-from .config import TABLE_IDS, MatrixConfig, _c_hat, require_nonsingular, singularity_report
+from .config import TABLE_IDS, MatrixConfig, _c_hat, singularity_report
 from .core import CLOSED_FORM, near_toeplitz_inverse_entry
 from .errors import DenseSizeError, DivergenceError, SingularMatrixError
 
@@ -116,7 +118,6 @@ def cmd_entry(args) -> str:
 
 def cmd_invert(args) -> str:
     cfg, c_hat = _cfg(args), _c_hat(args.chat)
-    require_nonsingular(cfg)
     _require_printable(cfg.n**2)
     span = range(1, cfg.n + 1)
     entries = [[near_toeplitz_inverse_entry(cfg, i, j) / -c_hat for j in span] for i in span]
@@ -132,7 +133,6 @@ def cmd_rowsum(args) -> str:
     if args.i is not None:
         outputs = {"i": args.i, "rowsum": rowsum(cfg, args.i)}
     else:
-        require_nonsingular(cfg)
         _require_printable(cfg.n)
         lower, upper = rowsum_bounds(cfg) if cfg.b == 2 else (None, None)
         values = [rowsum(cfg, i) for i in range(1, cfg.n + 1)]
@@ -159,7 +159,7 @@ def cmd_signs(args) -> str:
 
 
 def cmd_singular(args) -> str:
-    return _report(args, singularity_report(_cfg(args)))
+    return _report(args, singularity_report(args.n, args.b, args.btilde))
 
 
 def cmd_solve_bvp(args) -> str:
@@ -169,7 +169,6 @@ def cmd_solve_bvp(args) -> str:
         n=args.n, length=args.length, k_coef=args.k, nonlinearity=args.nonlinearity,
         cfg=_cfg(args), bc_left=args.bc_left, bc_right=args.bc_right, c_hat=args.chat,
     )
-    require_nonsingular(prob.cfg)
     _require_printable(prob.n)
     res = solve_fixed_point(prob, tol=args.tol, max_iter=args.max_iter)
     outputs = {

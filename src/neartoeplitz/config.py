@@ -2,11 +2,13 @@
 
 The library works on the normalized operator: an n x n symmetric tridiagonal
 matrix with constant diagonal ``b`` (|b| = 2), off-diagonals -1, and both
-corner diagonal entries replaced by ``b_tilde``; (n, b, b_tilde) fix it.  A
-``MatrixConfig`` derives its b = +2 frame (the mirrored corner, r, 1 + r, the generators'
-denominator D, the two corner gaps and the one singular flag) once, at construction, and the
-closed forms and the singularity report read those fields.  The scaling ``c_hat`` of -c_hat A
-belongs to the BVP and to the CLI's ``entry`` and ``invert``, which check it with ``_c_hat``.
+corner diagonal entries replaced by ``b_tilde``; (n, b, b_tilde) fix it.  One validator,
+``_triple``, checks a triple and measures its distance to the two singular corners.  A
+``MatrixConfig`` refuses a singular triple and derives its b = +2 frame (the mirrored corner,
+r, 1 + r, the generators' denominator D and the two corner gaps) once, at construction, and the
+closed forms read those fields; ``singularity_report`` answers for any valid triple.  The
+scaling ``c_hat`` of -c_hat A belongs to the BVP and to the CLI's ``entry`` and ``invert``,
+which check it with ``_c_hat``.
 """
 
 from __future__ import annotations
@@ -54,13 +56,39 @@ def _c_hat(value) -> float:
     return scale
 
 
+def _triple(n, b, b_tilde) -> tuple:
+    """Check (n, b, b_tilde) and return (order, b, corner, points, gaps, distance): the order as
+    an int, b as the int +2 or -2, b_tilde as a float, the two singular corner values sgn(b) (1,
+    (n-3)/(n-1)), the gaps b_tilde minus each, and the smaller |gap|.  A value out of range
+    raises ValueError; the caller decides what the distance means."""
+    try:
+        order = operator.index(n)
+    except TypeError:
+        order = None
+    if order is None or not 4 <= order <= _MAX_ORDER:
+        raise ValueError(f"matrix order must be an integer in 4..2**53, got {n!r}")
+    if b not in (2, -2):
+        raise ValueError(f"diagonal b must be +2 or -2, got {b!r}")
+    corner = _real(b_tilde)
+    if not abs(corner) <= _MAX_CORNER:
+        raise ValueError(f"corner value must lie in [-2**400, 2**400], got {b_tilde!r}")
+    s = 1 if b > 0 else -1
+    points = (s * 1.0, s * (order - 3) / (order - 1))
+    gaps = (corner - points[0], corner - points[1])
+    return order, 2 * s, corner, points, gaps, min(abs(gaps[0]), abs(gaps[1]))
+
+
 class MatrixConfig:
-    """The triple (n, b, b_tilde) defining the normalized operator, and its b = +2 frame.
+    """The triple (n, b, b_tilde) defining a nonsingular normalized operator, and its b = +2 frame.
 
     n       : matrix order, 4..2**53; any integer type (``operator.index``)
     b       : Toeplitz diagonal after normalization, +2 or -2 of any number type; stored as an int
     b_tilde : corner diagonal after normalization, |b_tilde| <= 2**400 (beyond it the
               closed forms overflow; NaN and infinities are refused too); stored as a float
+
+    A value out of range raises ValueError.  A b_tilde within ``SINGULARITY_TOL`` of a singular
+    corner, sgn(b) or sgn(b) (n-3)/(n-1), raises SingularMatrixError: there the inverse does not
+    exist, so every config is nonsingular and no function that takes one checks again.
 
     Immutable; ``==``, ``hash``, ``repr``, ``copy`` and ``pickle`` see these three fields only.
     The frame is derived from them once: A_{-2}(b_tilde)^{-1} = -S A_{+2}(-b_tilde)^{-1} S
@@ -68,30 +96,23 @@ class MatrixConfig:
     with ``_r`` = _bt - 2 (the same float as 2 (b_tilde - b) / b, since scaling by 2 and
     negation are exact), ``_r1`` = 1 + r and ``_d`` = D = (1 + r)(n + 1 + r (n - 1)), and
     flip once at the output when ``_flip`` (b = -2): entry (i, j) by -(-1)^(i+j), the
-    trace by negation.  Numeric code reads b only here.  ``_gaps`` = b_tilde - (s1, s2), the
-    ``singular_points()``, in this frame (negate both for b = +2 when ``_flip``: exact), and
-    ``_singular``, the one singularity decision, is min |gap| <= ``SINGULARITY_TOL``.
+    trace by negation.  Numeric code reads b only here.  ``_gaps`` = b_tilde minus the two
+    singular corners, in this frame (negate both for b = +2 when ``_flip``: exact).
     """
 
-    __slots__ = ("n", "b", "b_tilde", "_bt", "_flip", "_r", "_r1", "_d", "_gaps", "_singular")
+    __slots__ = ("n", "b", "b_tilde", "_bt", "_flip", "_r", "_r1", "_d", "_gaps")
 
     def __init__(self, n: int, b: int, b_tilde: float):
-        try:
-            order = operator.index(n)
-        except TypeError:
-            order = None
-        if order is None or not 4 <= order <= _MAX_ORDER:
-            raise ValueError(f"matrix order must be an integer in 4..2**53, got {n!r}")
-        if b not in (2, -2):
-            raise ValueError(f"diagonal b must be +2 or -2, got {b!r}")
-        corner = _real(b_tilde)
-        if not abs(corner) <= _MAX_CORNER:
-            raise ValueError(f"corner value must lie in [-2**400, 2**400], got {b_tilde!r}")
-        bt, flip, s = (-corner, True, -1) if b < 0 else (corner, False, 1)
-        r, gaps = bt - 2.0, (corner - s, corner - s * (order - 3) / (order - 1))
-        frame = (order, -2 if flip else 2, corner, bt, flip, r, 1.0 + r,
-                 (1.0 + r) * (order + 1 + r * (order - 1)), gaps,
-                 min(abs(gaps[0]), abs(gaps[1])) <= SINGULARITY_TOL)
+        order, b, corner, (s1, s2), gaps, distance = _triple(n, b, b_tilde)
+        if distance <= SINGULARITY_TOL:
+            raise SingularMatrixError(
+                f"corner value {corner} is within {SINGULARITY_TOL} of a singular point "
+                f"({s1} or {s2:.17g}) at n={order}, b={b}"
+            )
+        bt, flip = (-corner, True) if b < 0 else (corner, False)
+        r = bt - 2.0
+        frame = (order, b, corner, bt, flip, r, 1.0 + r, (1.0 + r) * (order + 1 + r * (order - 1)),
+                 gaps)
         for name, value in zip(self.__slots__, frame):
             object.__setattr__(self, name, value)
 
@@ -117,40 +138,22 @@ class MatrixConfig:
     def __reduce__(self):
         return MatrixConfig, self._fields()
 
-    def singular_points(self) -> tuple[float, float]:
-        """The two corner values at which the matrix is singular, sgn(b) (1, (n-3)/(n-1))."""
-        s = 1 if self.b > 0 else -1
-        return (s * 1.0, s * (self.n - 3) / (self.n - 1))
 
-
-def is_singular(cfg: MatrixConfig) -> bool:
-    """True when b_tilde lies within ``SINGULARITY_TOL`` of either singular corner value."""
-    return cfg._singular
-
-
-def singularity_report(cfg: MatrixConfig) -> dict:
-    """The decision and, from the config's gaps, what it rests on: ``distance`` (answers at
-    any other tolerance) and ``delta`` = (n-1)/(n+1) (b_tilde - s1)(b_tilde - s2), the factored
-    determinant, stable near the roots.  ``delta_test`` repeats ``singular`` only because
-    ``bench/workloads.py`` reads that key; it goes once the benchmark stops reading it."""
-    g1, g2 = cfg._gaps
+def singularity_report(n: int, b: int, b_tilde: float) -> dict:
+    """Whether (n, b, b_tilde) is singular, and what that rests on, for any valid triple (the
+    ranges of ``MatrixConfig``): ``distance`` (answers at any other tolerance) and ``delta`` =
+    (n-1)/(n+1) (b_tilde - s1)(b_tilde - s2), the factored determinant, stable near the roots.
+    ``delta_test`` repeats ``singular`` only because ``bench/workloads.py`` reads that key; it
+    goes once the benchmark stops reading it."""
+    order, _, _, points, (g1, g2), distance = _triple(n, b, b_tilde)
+    singular = distance <= SINGULARITY_TOL
     return {
-        "singular_points": list(cfg.singular_points()),
-        "distance": min(abs(g1), abs(g2)),
-        "delta": (cfg.n - 1) / (cfg.n + 1) * g1 * g2,
-        "singular": cfg._singular,
-        "delta_test": cfg._singular,
+        "singular_points": list(points),
+        "distance": distance,
+        "delta": (order - 1) / (order + 1) * g1 * g2,
+        "singular": singular,
+        "delta_test": singular,
     }
-
-
-def require_nonsingular(cfg: MatrixConfig) -> None:
-    """Raise :class:`SingularMatrixError` for configurations within ``SINGULARITY_TOL``."""
-    if cfg._singular:
-        s1, s2 = cfg.singular_points()
-        raise SingularMatrixError(
-            f"corner value {cfg.b_tilde} is within {SINGULARITY_TOL} of a singular point "
-            f"({s1} or {s2:.17g}) at n={cfg.n}, b={cfg.b}"
-        )
 
 
 def require_dense_order(n: int) -> None:

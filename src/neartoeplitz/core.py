@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import MatrixConfig, require_dense_order, require_nonsingular
+from .config import MatrixConfig, require_dense_order
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,10 +50,8 @@ def near_toeplitz_inverse_entry(cfg: MatrixConfig, i: int, j: int) -> float:
     The inverse of -c_hat A is this divided by -c_hat, as the CLI's ``entry`` and
     ``invert`` print it.
 
-    Raises SingularMatrixError for singular configurations and IndexError for
-    indices outside 1..n.
+    Raises IndexError for indices outside 1..n.
     """
-    require_nonsingular(cfg)
     n = cfg.n
     if not (1 <= operator.index(i) <= n and 1 <= operator.index(j) <= n):
         raise IndexError(f"indices must lie in 1..{n}, got (i={i}, j={j})")
@@ -78,8 +76,8 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     y = z - c1 (n+1-i)/(n+1) - c2 i/(n+1), where (c1, c2) solves the symmetric
     2x2 capacitance system with m11 = 1 + beta n/(n+1), m12 = beta/(n+1),
     through its eigenvalues 1 + beta and 1 + beta (n-1)/(n+1), read from the
-    config's corner gaps.  Their product is the factored determinant delta: the
-    caller refuses the two singular corners, where the solve breaks down.  b = -2 goes
+    config's corner gaps.  Their product is the factored determinant delta, which
+    vanishes only at the two singular corners that no config admits.  b = -2 goes
     through the config's b = +2 frame (gaps negated), with -S and ``scale``
     folded into the weights before and S into those after.
 
@@ -164,7 +162,6 @@ def assemble_inverse(cfg: MatrixConfig) -> InverseMatrix:
     """
     import numpy as np
 
-    require_nonsingular(cfg)
     require_dense_order(cfg.n)
     n, r, r1, d, h = cfg.n, cfg._r, cfg._r1, cfg._d, (cfg.n + 1) // 2
     entries = _empty_square(n)

@@ -2,7 +2,8 @@
 
 
 class SingularMatrixError(ValueError):
-    """The corner value lands on (or within tolerance of) a singular configuration."""
+    """The corner value lands on (or within tolerance of) a singular corner.  ``MatrixConfig``
+    raises it when it is built, so no config is singular."""
 
 
 class PivotBreakdownError(SingularMatrixError):

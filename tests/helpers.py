@@ -18,11 +18,9 @@ from neartoeplitz import (
     build_matrix,
     exact_infinity_norm,
     expected_rate,
-    is_singular,
     reference_inverse,
     singularity_report,
 )
-from neartoeplitz.config import require_nonsingular
 from neartoeplitz.core import _inverse_solver, _parity
 from neartoeplitz.oracle import PIVOT_RTOL
 
@@ -35,11 +33,10 @@ EXCLUSION = 1e-6
 def btilde_samples(n: int, b: int, count: int = SAMPLES_PER_N) -> np.ndarray:
     """Deterministic corner-value grid on [-8, 8].
 
-    Values landing inside the EXCLUSION neighborhood of a singular point are
-    nudged just outside it.
+    Values landing inside the EXCLUSION neighborhood of a singular point
+    (``singularity_report``'s) are nudged just outside it.
     """
-    sign = 1.0 if b > 0 else -1.0
-    singular = np.array([sign, sign * (n - 3) / (n - 1)])
+    singular = np.array(singularity_report(n, b, 0.0)["singular_points"])
     pts = np.linspace(-8.0, 8.0, count)
     out = []
     for p in pts:
@@ -55,6 +52,14 @@ def sweep_configs():
         for b in SWEEP_B:
             for bt in btilde_samples(n, b):
                 yield MatrixConfig(n=n, b=b, b_tilde=float(bt))
+
+
+def singular_matrix(n: int, b: int, bt: float) -> np.ndarray:
+    """The dense operator at a corner value that no ``MatrixConfig`` admits, such as a
+    singular corner: the Toeplitz matrix of (n, b) with both corner entries set to bt."""
+    m = build_matrix(MatrixConfig(n, b, float(b)))
+    m[0, 0] = m[-1, -1] = bt
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +87,8 @@ def fit_printed_corner(n: int, b: int, bt: float, published_norm: float) -> floa
 
     The published norm/bound tables print b_tilde to two decimals but were
     computed from unrounded corner values.  The closed window is scanned at
-    WINDOW_POINTS evenly spaced points (points flagged by ``is_singular`` are
-    skipped); every bracket where ``exact_infinity_norm - published_norm``
+    WINDOW_POINTS evenly spaced points (points ``singularity_report`` flags as
+    singular are skipped); every bracket where ``exact_infinity_norm - published_norm``
     changes sign is bisected.  The candidate, grid point or bisected root,
     with the least absolute difference is returned, so a window without a
     sign change yields its best grid point, possibly an endpoint.
@@ -96,7 +101,7 @@ def fit_printed_corner(n: int, b: int, bt: float, published_norm: float) -> floa
     scanned = [
         (float(x), diff(float(x)))
         for x in grid
-        if not is_singular(MatrixConfig(n=n, b=b, b_tilde=float(x)))
+        if not singularity_report(n, b, float(x))["singular"]
     ]
     candidates = list(scanned)
     for (lo, f_lo), (hi, f_hi) in zip(scanned, scanned[1:]):
@@ -142,9 +147,8 @@ def allocating_inverse_solver(cfg, scale):
     weighted input x alone and returns a new array.  Kept as the bitwise
     reference of the factored solve; see that function for the algebra.
     """
-    require_nonsingular(cfg)
     n = cfg.n
-    s1, s2 = cfg.singular_points()
+    s1, s2 = singularity_report(n, cfg.b, cfg.b_tilde)["singular_points"]
     sign = 1 if cfg.b > 0 else -1
     beta = sign * cfg.b_tilde - 2.0
     q_sum = beta / (sign * (cfg.b_tilde - s1))
@@ -200,7 +204,6 @@ def allocating_fixed_point(prob, tol=1e-10, max_iter=10_000):
     of those rows.  Kept as the bitwise reference of the in-place iteration,
     with the same step history, rates and DivergenceError messages.
     """
-    require_nonsingular(prob.cfg)
     if not tol > 0:
         raise ValueError("tol must be positive")
     i = np.arange(1, prob.n + 1, dtype=float)
@@ -292,7 +295,7 @@ def derived_params(cfg: MatrixConfig) -> DerivedParams:
     gamma_plus = (2.0 + bt) / (1.0 + bt) if (b == -2 and bt != -1.0) else None
     return DerivedParams(
         beta=beta, gamma=gamma, gamma_plus=gamma_plus, m11=m11, m12=m12,
-        delta=singularity_report(cfg)["delta"],
+        delta=singularity_report(n, b, bt)["delta"],
     )
 
 

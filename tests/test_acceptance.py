@@ -27,12 +27,12 @@ from neartoeplitz import (
     assemble_inverse,
     build_matrix,
     exact_infinity_norm,
-    is_singular,
     lower_bound,
     near_toeplitz_inverse_entry,
     reference_inverse,
     rowsums,
     sign_pattern,
+    singularity_report,
     trace_inverse,
     upper_bound,
 )
@@ -53,6 +53,7 @@ from helpers import (
     fit_printed_corner,
     nonlinearity,
     oracle_entries,
+    singular_matrix,
 )
 
 #: (n, b) rows whose published bound cell is (n+1)^2/8: the leading term of S
@@ -155,26 +156,24 @@ def test_leading_term_cells_bound_s_from_above():
 
 
 def test_criterion_03_singularity_detection():
-    """is_singular fires exactly at the two corner roots; pivoting agrees."""
+    """``singularity_report`` fires exactly at the two corner roots; pivoting agrees."""
     problems = []
     for n in SWEEP_N:
         for b in SWEEP_B:
             sign = 1.0 if b > 0 else -1.0
             for point in (sign, sign * (n - 3) / (n - 1)):
-                cfg = MatrixConfig(n, b, point)
-                if not is_singular(cfg):
+                if not singularity_report(n, b, point)["singular"]:
                     problems.append(("miss", n, b, point))
                 try:
-                    reference_inverse(build_matrix(cfg))
+                    reference_inverse(singular_matrix(n, b, point))
                     problems.append(("no-breakdown", n, b, point))
                 except PivotBreakdownError:
                     pass
                 for offset in (1e-6, -1e-6):
-                    near = MatrixConfig(n, b, point + offset)
-                    if is_singular(near):
+                    if singularity_report(n, b, point + offset)["singular"]:
                         problems.append(("false-positive", n, b, point + offset))
                     try:
-                        reference_inverse(build_matrix(near))
+                        reference_inverse(build_matrix(MatrixConfig(n, b, point + offset)))
                     except PivotBreakdownError:
                         problems.append(("oracle-false-positive", n, b, point + offset))
     _report(3, "singularity detection", not problems)

@@ -166,12 +166,6 @@ class TestSolveFixedPoint:
         with pytest.raises(DivergenceError):
             solve_fixed_point(prob, tol=1e-10, max_iter=500)
 
-    def test_singular_configuration_rejected(self):
-        from neartoeplitz import SingularMatrixError
-
-        with pytest.raises(SingularMatrixError):
-            solve_fixed_point(fisher_problem(10, 2, 1.0, 1.0, 1.0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BvpProblem(n=9, length=1.0, k_coef=1.0, nonlinearity="fisher",

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import neartoeplitz
 from neartoeplitz import (
-    MatrixConfig, assemble_inverse, build_matrix, exact_infinity_norm, is_singular,
-    near_toeplitz_inverse_entry, trace_inverse, upper_bound,
+    MatrixConfig, SingularMatrixError, assemble_inverse, build_matrix, exact_infinity_norm,
+    near_toeplitz_inverse_entry, singularity_report, trace_inverse, upper_bound,
 )
 from neartoeplitz import bvp, cli
 from neartoeplitz.cli import main
@@ -344,6 +344,8 @@ _MAT = ["--b", "2", "--btilde", "-3"]
 #: A Fisher solve at n = 50; argparse lets a later flag override an earlier one.
 _BVP = ["solve-bvp", "--n", "50", "--b", "2", "--btilde", "2", "--length", "1", "--k", "1",
         "--nonlinearity", "fisher"]
+#: A singular corner, (n-3)/(n-1) = 5/7 being the other at n = 8.
+_SINGULAR = ["--n", "8", "--b", "2", "--btilde", "1"]
 #: One call of every subcommand that takes an order, without its --n.
 ORDER_CALLS = [
     ["entry", *_MAT, "--i", "1", "--j", "1"],
@@ -460,6 +462,27 @@ class TestExitCodes:
         assert len(lines) == 1 and strict_json(lines[0])["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize("argv", [
+        ["entry", *_SINGULAR, "--i", "2", "--j", "3", "--chat", "0"],
+        ["invert", *_SINGULAR, "--chat", "0"],
+        ["solve-bvp", *_SINGULAR, "--length", "1", "--k", "1", "--nonlinearity", "fisher",
+         "--chat", "0"],
+        ["solve-bvp", *_SINGULAR, "--length", "1e-300", "--k", "1", "--nonlinearity", "fisher"],
+        ["signs", "--n", "8", "--b", "-2", "--btilde", "-1"],
+        ["rowsum", *_SINGULAR, "--i", "99"],
+    ], ids=" ".join)
+    def test_a_singular_corner_is_3_before_a_second_fault(self, argv):
+        """The triple is checked first, its range and then its singularity; c_hat, the indices,
+        the BVP options and the sign-pattern regime only after it.  Each call also has one of
+        those wrong, and exits 3 with the config's own message, on one line."""
+        proc = run_module(argv)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        with pytest.raises(SingularMatrixError) as info:
+            MatrixConfig(int(argv[2]), int(argv[4]), float(argv[6]))
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and strict_json(lines[0])["error"] == {
+            "type": "SingularMatrixError", "message": str(info.value)}
+
+    @pytest.mark.parametrize("argv", [
         [*_BVP, "--bc-left", "1e308"],
         [*_BVP, "--k", "1e308"],
         [*_BVP, "--k", "1e308", "--nonlinearity", "bratu"],
@@ -537,13 +560,16 @@ class TestExitCodes:
 
     def test_refusals_of_the_config_come_before_the_budget(self, capsys):
         """A singular corner exits 3 and an unstated sign pattern 2 with its own error, as below
-        the budget (the full ``rowsum`` is checked with its row cap above)."""
+        the budget (the full ``rowsum`` is checked with its row cap above).  b_tilde = -1 is
+        singular at b = -2, so it exits 3 for ``signs`` too."""
         for command, n in {"invert": "1025", "solve-bvp": str(2**20 + 1)}.items():
             argv = BUDGET_CALLS[command][0][4:]  # the options after --btilde
             code, out, err = run_cli(capsys, command, "--n", n, "--b", "-2", "--btilde", "-1", *argv)
             assert (code, out, strict_json(err)["error"]["type"]) == (3, "", "SingularMatrixError")
-        code, out, err = run_cli(capsys, "signs", "--n", "1025", "--b", "-2", "--btilde", "-1")
+        code, out, err = run_cli(capsys, "signs", "--n", "1025", "--b", "-2", "--btilde", "-3")
         assert (code, out, strict_json(err)["error"]["type"]) == (2, "", "UnsupportedCaseError")
+        code, out, err = run_cli(capsys, "signs", "--n", "1025", "--b", "-2", "--btilde", "-1")
+        assert (code, out, strict_json(err)["error"]["type"]) == (3, "", "SingularMatrixError")
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_partial_is_valid_json(self, capsys):
@@ -639,7 +665,7 @@ class TestChat:
     @given(n=st.integers(4, 60), b=st.sampled_from([2, -2]), data=st.data())
     def test_scaled_entries_divide_every_entry(self, n, b, data):
         bt = data.draw(st.one_of(st.floats(-8, 8), st.sampled_from(regime_corners(n, b))).filter(
-            lambda bt: not is_singular(MatrixConfig(n, b, bt))))
+            lambda bt: not singularity_report(n, b, bt)["singular"]))
         c_hat = data.draw(st.one_of(st.floats(-4, -0.1), st.floats(0.1, 4)))
         entries = assemble_inverse(MatrixConfig(n, b, bt)).entries
         scaled = scaled_outputs("invert", n, b, bt, c_hat)["entries"]
@@ -654,7 +680,8 @@ class TestChat:
         ["solve-bvp", "--length", "1", "--k", "1", "--nonlinearity", "fisher"],
     ], ids=lambda argv: argv[0])
     def test_error_precedence(self, capsys, argv):
-        """A bad corner comes before a bad c_hat, and a bad c_hat before a singular corner."""
+        """A bad corner comes before a singular corner, and a singular corner before a bad
+        c_hat: the config is built, and so checked, first."""
         def error(bt, c_hat):
             code, out, err = run_cli(capsys, argv[0], "--n", "8", "--b", "2", "--btilde", bt,
                                      *argv[1:], f"--chat={c_hat}")
@@ -664,9 +691,9 @@ class TestChat:
         code, message = error("1e160", "0")
         assert code == 2 and message.startswith("corner value must lie in")
         code, message = error("1", "0")
-        assert code == 2 and message.startswith("scaling |c_hat| must lie in")
-        code, message = error("1", "-1")
         assert code == 3 and "singular point" in message
+        code, message = error("3", "0")
+        assert code == 2 and message.startswith("scaling |c_hat| must lie in")
 
 
 #: Prints whether any scipy module was imported by the code run before it.

@@ -19,7 +19,6 @@ from neartoeplitz import (
     assemble_inverse,
     build_matrix,
     exact_infinity_norm,
-    is_singular,
     lower_bound,
     near_toeplitz_inverse_entry,
     reference_inverse,
@@ -32,7 +31,7 @@ from neartoeplitz import (
 )
 from neartoeplitz.analysis import _BRANCHES_B2, _BRANCHES_BM2
 from neartoeplitz.cli import main
-from neartoeplitz.config import _MAX_DENSE_ORDER
+from neartoeplitz.config import _MAX_DENSE_ORDER, SINGULARITY_TOL
 
 from helpers import (
     allocating_inverse_solver,
@@ -144,19 +143,34 @@ def test_integer_arguments_accept_numpy_integers(name):
 
 class TestMatrixConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MatrixConfig(3, 2, 1.5)
-        with pytest.raises(ValueError):
-            MatrixConfig(5, 1, 1.5)
+        """``singularity_report`` checks its triple with the config's own validator."""
+        for check in (MatrixConfig, singularity_report):
+            for bad in ((3, 2, 1.5), (5, 1, 1.5), (5, 2, float("nan")), (10.0, 2, 1.5),
+                        (2**53 + 1, 2, 1.5)):
+                with pytest.raises(ValueError):
+                    check(*bad)
         with pytest.raises(TypeError):  # c_hat belongs to BvpProblem and the CLI
             MatrixConfig(5, 2, 1.5, c_hat=-1.0)
-        with pytest.raises(ValueError):
-            MatrixConfig(5, 2, float("nan"))
-        with pytest.raises(ValueError):
-            MatrixConfig(10.0, 2, 1.5)
-        with pytest.raises(ValueError):
-            MatrixConfig(2**53 + 1, 2, 1.5)
         assert MatrixConfig(2**53, 2, 1.5).n == 2**53
+
+    @pytest.mark.parametrize("n", [4, 5, 41, 2**53])
+    @pytest.mark.parametrize("b", [2, -2])
+    @pytest.mark.parametrize("corner", ["one", "nm3"])
+    def test_singular_corners_are_refused(self, n, b, corner):
+        """Within ``SINGULARITY_TOL`` of sgn(b) or sgn(b) (n-3)/(n-1) no config is built, so the
+        entry, the assembly, the trace, the solve and every other function that takes a config
+        never meet a singular one.  The message names the corner value and both points."""
+        s1, s2 = (1.0, (n - 3) / (n - 1)) if b > 0 else (-1.0, -(n - 3) / (n - 1))
+        point = s1 if corner == "one" else s2
+        for offset in (0.0, 0.5 * SINGULARITY_TOL, -0.5 * SINGULARITY_TOL):
+            bt = point + offset
+            with pytest.raises(SingularMatrixError) as info:
+                MatrixConfig(n, b, bt)
+            assert str(info.value) == (f"corner value {bt} is within 1e-10 of a singular point "
+                                       f"({s1} or {s2:.17g}) at n={n}, b={b}")
+            assert singularity_report(n, b, bt)["singular"] is True
+        for offset in (2 * SINGULARITY_TOL, -2 * SINGULARITY_TOL):
+            assert MatrixConfig(n, b, point + offset).b_tilde == point + offset
 
     @pytest.mark.parametrize("bt", [2.3e307, 1e160, math.nextafter(2.0**400, math.inf)])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -173,7 +187,7 @@ class TestMatrixConfig:
             ub = upper_bound(cfg)
             values = [trace_inverse(cfg), lower_bound(cfg), ub.value, *ub.terms.values(),
                       rowsum(cfg, 1), near_toeplitz_inverse_entry(cfg, n, 1),
-                      singularity_report(cfg)["delta"]]
+                      singularity_report(n, b, cfg.b_tilde)["delta"]]
             assert all(math.isfinite(v) for v in values), (n, b, values)
             assert lower_bound(cfg) <= ub.value
 
@@ -270,7 +284,7 @@ class TestMatrixConfig:
 
     def test_immutable(self):
         cfg = MatrixConfig(10, 2, 3.0)
-        for name in ("n", "b", "b_tilde", "_r", "_d", "_singular", "extra"):
+        for name in ("n", "b", "b_tilde", "_r", "_d", "_gaps", "extra"):
             with pytest.raises(AttributeError):
                 setattr(cfg, name, 1)
             with pytest.raises(AttributeError):
@@ -284,7 +298,7 @@ class TestMatrixConfig:
         for cfg in (MatrixConfig(10, 2, 5.93), MatrixConfig(9, -2, 0.6)):
             twin = clone(cfg)
             assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
-            frame = ("_bt", "_flip", "_r", "_r1", "_d", "_singular")
+            frame = ("_bt", "_flip", "_r", "_r1", "_d", "_gaps")
             assert [getattr(twin, k) for k in frame] == [getattr(cfg, k) for k in frame]
 
     def test_frame_fields_play_no_part_in_equality(self):
@@ -295,8 +309,8 @@ class TestMatrixConfig:
         assert MatrixConfig(8, 2, 3.0) != MatrixConfig(8, -2, 3.0)
 
     def test_singular_points(self):
-        assert MatrixConfig(5, 2, 0.0).singular_points() == (1.0, 0.5)
-        assert MatrixConfig(5, -2, 0.0).singular_points() == (-1.0, -0.5)
+        assert singularity_report(5, 2, 0.0)["singular_points"] == [1.0, 0.5]
+        assert singularity_report(5, -2, 0.0)["singular_points"] == [-1.0, -0.5]
 
 
 class TestDerivedParams:
@@ -328,6 +342,7 @@ class TestDerivedParams:
     @given(n=st.integers(4, 10**6), b=st.sampled_from([2, -2]), bt=st.floats(-1e3, 1e3))
     def test_factored_delta_equals_capacitance_determinant(self, n, b, bt):
         # m11^2 - m12^2 cancels near the roots, so it is held to the scale of its terms.
+        assume(not singularity_report(n, b, bt)["singular"])
         p = derived_params(MatrixConfig(n, b, bt))
         scale = max(1.0, p.m11 * p.m11, p.m12 * p.m12)
         assert abs(p.m11 * p.m11 - p.m12 * p.m12 - p.delta) <= 1e-12 * scale
@@ -335,9 +350,8 @@ class TestDerivedParams:
     def test_delta_nonnegative_for_dominant_corners(self):
         for n in (4, 9, 16):
             for b in (2, -2):
-                for bt in (-5.0, -1.0, 1.0, 1.5, 7.0):
-                    if abs(bt) >= 1:
-                        assert derived_params(MatrixConfig(n, b, bt)).delta >= 0
+                for bt in (-5.0, -1.0, 1.0, 1.5, 7.0):  # one of +-1 is a singular corner
+                    assert singularity_report(n, b, bt)["delta"] >= 0
 
 
 class TestSingularity:
@@ -346,12 +360,10 @@ class TestSingularity:
         [(5, 2, 1.0), (5, 2, 0.5), (5, -2, -0.5), (5, -2, -1.0), (11, 2, 0.8)],
     )
     def test_fires_at_singular_values(self, n, b, bt):
-        cfg = MatrixConfig(n, b, bt)
-        assert is_singular(cfg)
+        assert singularity_report(n, b, bt)["singular"] is True
 
     def test_no_fire_away_from_singular_values(self):
-        cfg = MatrixConfig(5, 2, 0.5 + 1e-6)
-        assert not is_singular(cfg)
+        assert singularity_report(5, 2, 0.5 + 1e-6)["singular"] is False
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(4, 2**53), x=st.one_of(
@@ -359,12 +371,13 @@ class TestSingularity:
     def test_report_is_the_mirrored_report(self, n, x):
         """b = -2 at -x has the gaps of b = +2 at x, negated exactly: the same distance and
         delta, bit for bit, wherever delta is nonzero (a zero gap is +0.0 in both frames).
-        Each config's gaps are b_tilde minus its ``singular_points()``."""
-        configs = MatrixConfig(n, 2, x), MatrixConfig(n, -2, -x)
-        for cfg in configs:
-            assert [g.hex() for g in cfg._gaps] == [(cfg.b_tilde - s).hex()
-                                                    for s in cfg.singular_points()]
-        plus, minus = map(singularity_report, configs)
+        Off the corners, each config's gaps are b_tilde minus the report's singular points."""
+        plus, minus = singularity_report(n, 2, x), singularity_report(n, -2, -x)
+        if not plus["singular"]:
+            for b, report in ((2, plus), (-2, minus)):
+                cfg = MatrixConfig(n, b, x if b > 0 else -x)
+                assert [g.hex() for g in cfg._gaps] == [(cfg.b_tilde - s).hex()
+                                                        for s in report["singular_points"]]
         assert plus["distance"].hex() == minus["distance"].hex()
         assert plus["singular"] is minus["singular"] is plus["delta_test"] is minus["delta_test"]
         if plus["delta"] != 0.0:
@@ -384,10 +397,6 @@ class TestNearToeplitzEntry:
         inv = reference_inverse(build_matrix(cfg))
         got = near_toeplitz_inverse_entry(cfg, 4, 2)
         assert got == pytest.approx(inv.entries[3, 1], abs=1e-10)
-
-    def test_singular_rejection(self):
-        with pytest.raises(SingularMatrixError):
-            near_toeplitz_inverse_entry(MatrixConfig(5, 2, 1.0), 1, 1)
 
     def test_index_error(self):
         with pytest.raises(IndexError):
@@ -432,7 +441,7 @@ def mirror_btilde(n):
         st.builds(lambda s, e: s * 10.0**e, side, st.floats(-12, 12)),
         st.builds(lambda c, s, e: c + s * 10.0**e,
                   st.sampled_from([-1.0, -(n - 3) / (n - 1)]), side, st.floats(-9, -3)),
-    ).filter(lambda bt: not is_singular(MatrixConfig(n, -2, bt)))
+    ).filter(lambda bt: not singularity_report(n, -2, bt)["singular"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -515,10 +524,6 @@ class TestAssembleInverse:
         b = assemble_inverse(cfg).entries
         assert np.array_equal(a, b)
 
-    def test_singular_rejection(self):
-        with pytest.raises(SingularMatrixError):
-            assemble_inverse(MatrixConfig(8, -2, -1.0))
-
     def test_oracle_equivalence_spot_checks(self):
         for n, b, bt in [(15, 2, -6.2), (20, -2, 7.9), (30, 2, 0.93), (25, -2, -0.41)]:
             closed = assemble_inverse(MatrixConfig(n, b, bt)).entries
@@ -555,7 +560,7 @@ class TestGeneratorGrid:
         # v_i is u_{n+1-i}, so entry (i, j) and entry (n+1-i, n+1-j) are one product of two floats.
         bt = data.draw(
             st.one_of(st.floats(-8, 8), st.sampled_from(regime_corners(n, b))).filter(
-                lambda bt: not is_singular(MatrixConfig(n, b, bt))
+                lambda bt: not singularity_report(n, b, bt)["singular"]
             )
         )
         cfg = MatrixConfig(n, b, bt)
@@ -590,8 +595,9 @@ class TestGeneratorGrid:
     def test_zero_generator_corners(self, n, b, bt):
         # u_k vanishes at sgn(b) b_tilde = (k-2)/(k-1) when that is exact, as at k = 2**m + 1.
         # Only there is an entry zero, and where D < 0 it is 0 / D = -0.0 before the + 0.0 pass.
-        cfg = MatrixConfig(n, b, -bt if b < 0 else bt)
-        assume(not is_singular(cfg))
+        bt = -bt if b < 0 else bt
+        assume(not singularity_report(n, b, bt)["singular"])
+        cfg = MatrixConfig(n, b, bt)
         entries = assemble_inverse(cfg).entries
         assert not np.signbit(entries[entries == 0.0]).any()
         assert bitwise_equal(entries, index_grid(cfg) + 0.0)
@@ -739,9 +745,9 @@ class TestInverseSolver:
     shape=st.sampled_from([0, 1, 2, 3]),
 )
 def test_residual_gate_property(n, b, bt, c_hat, seed, shape):
-    cfg = MatrixConfig(n, b, bt)
-    if singularity_report(cfg)["distance"] <= 1e-9:
+    if singularity_report(n, b, bt)["distance"] <= 1e-9:
         return
+    cfg = MatrixConfig(n, b, bt)
     x = solver_rhs(n, np.random.default_rng(seed))[shape]
     y = inverse_solver(cfg, scale=1.0 / -c_hat)(x)
     assert np.abs(apply_scaled_operator(cfg, c_hat, y) - x).max() <= residual_limit(cfg, c_hat, y, x)

@@ -15,9 +15,10 @@ from neartoeplitz import (
     reference_norm,
     reference_rowsums,
     reference_trace,
+    singularity_report,
 )
 
-from helpers import bitwise_equal, masked_gauss_jordan, regime_corners
+from helpers import bitwise_equal, masked_gauss_jordan, regime_corners, singular_matrix
 
 
 def tridiag(n, b):
@@ -71,7 +72,7 @@ class TestReferenceInverse:
 
     def test_breakdown_on_singular_configuration(self):
         with pytest.raises(PivotBreakdownError):
-            reference_inverse(build_matrix(MatrixConfig(5, 2, 1.0)))
+            reference_inverse(singular_matrix(5, 2, 1.0))
 
     def test_breakdown_on_zero_matrix(self):
         with pytest.raises(PivotBreakdownError):
@@ -148,8 +149,8 @@ class TestInPlaceElimination:
     def test_same_breakdown_at_both_singular_corners(self):
         for n in (4, 5, 6, 9, 16, 31, 60):
             for b in (2, -2):
-                for bt in MatrixConfig(n, b, 2.0).singular_points():
-                    m = build_matrix(MatrixConfig(n, b, bt))
+                for bt in singularity_report(n, b, 2.0)["singular_points"]:
+                    m = singular_matrix(n, b, bt)
                     with pytest.raises(PivotBreakdownError):
                         reference_inverse(m)
                     assert_same_outcome(m)
