@@ -10,78 +10,36 @@ The errors are public because callers catch them and the CLI maps them to exit c
 The oracle is public as the independent reference for the tests and the benchmark checks.
 Other functions are public because the CLI, a demo or the benchmark calls them.
 
-numpy is imported only by code that builds an array: the bvp and oracle modules, array code
-throughout, load on first use of one of their names, so scalar results never import numpy.
+One rule loads them: every public name loads its module on first use (PEP 562), so
+``import neartoeplitz`` loads no submodule, and only ``bvp``, ``oracle`` and the functions
+that build arrays import numpy.
 """
 
 from importlib import import_module
 
-from .analysis import (
-    UpperBound,
-    exact_infinity_norm,
-    lower_bound,
-    rowsum,
-    rowsums,
-    sign_pattern,
-    trace_inverse,
-    upper_bound,
-)
-from .config import MatrixConfig, singularity_report
-from .core import (
-    InverseMatrix,
-    assemble_inverse,
-    near_toeplitz_inverse_entry,
-)
-from .errors import (
-    DenseSizeError,
-    DivergenceError,
-    PivotBreakdownError,
-    SingularMatrixError,
-    UnsupportedCaseError,
-)
-
 _LAZY = {name: module for module, names in (
+    ("analysis", ("UpperBound", "exact_infinity_norm", "lower_bound", "rowsum", "rowsums",
+                  "sign_pattern", "trace_inverse", "upper_bound")),
     ("bvp", ("BvpProblem", "BvpResult", "expected_rate", "solve_fixed_point")),
+    ("config", ("MatrixConfig", "singularity_report")),
+    ("core", ("InverseMatrix", "assemble_inverse", "near_toeplitz_inverse_entry")),
+    ("errors", ("DenseSizeError", "DivergenceError", "PivotBreakdownError", "SingularMatrixError",
+                "UnsupportedCaseError")),
     ("oracle", ("build_matrix", "reference_inverse", "reference_norm", "reference_rowsums",
                 "reference_trace")),
 ) for name in names}
 
+__all__ = sorted(_LAZY)
+
+__version__ = "0.1.0"
+
 
 def __getattr__(name):
-    """Load a bvp or oracle name on first use and keep it in the package namespace (PEP 562)."""
+    """Load a public name's module on first use and keep the name in the package namespace."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals().setdefault(name, getattr(import_module(f".{_LAZY[name]}", __name__), name))
 
 
-__all__ = [
-    "BvpProblem",
-    "BvpResult",
-    "DenseSizeError",
-    "DivergenceError",
-    "InverseMatrix",
-    "MatrixConfig",
-    "PivotBreakdownError",
-    "SingularMatrixError",
-    "UnsupportedCaseError",
-    "UpperBound",
-    "assemble_inverse",
-    "build_matrix",
-    "exact_infinity_norm",
-    "expected_rate",
-    "lower_bound",
-    "near_toeplitz_inverse_entry",
-    "reference_inverse",
-    "reference_norm",
-    "reference_rowsums",
-    "reference_trace",
-    "rowsum",
-    "rowsums",
-    "sign_pattern",
-    "singularity_report",
-    "solve_fixed_point",
-    "trace_inverse",
-    "upper_bound",
-]
-
-__version__ = "0.1.0"
+def __dir__():
+    return __all__

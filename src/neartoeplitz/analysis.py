@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import MatrixConfig, require_dense_order
+from .config import MatrixConfig, require_dense_order, require_vector_order
 from .core import _parity
 from .errors import UnsupportedCaseError
 
@@ -56,7 +56,9 @@ def _rowsum(cfg: MatrixConfig, i):
 
 
 def rowsums(cfg: MatrixConfig) -> np.ndarray:
-    """All n row sums of the inverse, from the closed forms for b = +2 / -2."""
+    """All n row sums of the inverse, from the closed forms for b = +2 / -2; n > 2**28 raises
+    DenseSizeError."""
+    require_vector_order(cfg.n)
     import numpy as np
 
     return _rowsum(cfg, np.arange(1, cfg.n + 1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import upper_bound
-from .config import MatrixConfig, _c_hat
+from .config import MatrixConfig, _c_hat, require_vector_order
 from .core import _inverse_solver
 from .errors import DivergenceError
 
@@ -129,12 +129,14 @@ def solve_fixed_point(prob: BvpProblem, *, tol: float = 1e-10, max_iter: int = 1
     matrix, no boundary vector and no second solve.  The inverse is never materialized.
     The observed rate is the maximum ratio of successive step sizes after the first
     step; ``steps`` records every step size.  Five consecutive growing steps, or a
-    non-finite step, raise DivergenceError with the partial result attached.
+    non-finite step, raise DivergenceError with the partial result attached; n > 2**28
+    raises DenseSizeError before the first vector is allocated.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not operator.index(max_iter) >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    require_vector_order(prob.n)
     u = _initial_iterate(prob)
 
     # An overflow in the weights or in f(u) turns entries of the next iterate

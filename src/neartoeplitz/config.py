@@ -24,6 +24,8 @@ SINGULARITY_TOL = 1e-10
 _MAX_ORDER = 2**53
 #: Largest order of an n x n result: one float64 array at the cap takes 2 GiB.
 _MAX_DENSE_ORDER = 2**14
+#: Largest order of an n-vector result or work array: the same 2 GiB per float64 array.
+_MAX_VECTOR_ORDER = _MAX_DENSE_ORDER**2
 #: Largest |b_tilde|: (2**53 * 2**400)**2 < 2**1024, so no generator product, determinant
 #: or bound term overflows at any admitted order.
 _MAX_CORNER = 2.0**400
@@ -111,10 +113,16 @@ class MatrixConfig:
             )
         bt, flip = (-corner, True) if b < 0 else (corner, False)
         r = bt - 2.0
-        frame = (order, b, corner, bt, flip, r, 1.0 + r, (1.0 + r) * (order + 1 + r * (order - 1)),
-                 gaps)
-        for name, value in zip(self.__slots__, frame):
-            object.__setattr__(self, name, value)
+        store = object.__setattr__
+        store(self, "n", order)
+        store(self, "b", b)
+        store(self, "b_tilde", corner)
+        store(self, "_bt", bt)
+        store(self, "_flip", flip)
+        store(self, "_r", r)
+        store(self, "_r1", 1.0 + r)
+        store(self, "_d", (1.0 + r) * (order + 1 + r * (order - 1)))
+        store(self, "_gaps", gaps)
 
     def _fields(self) -> tuple:
         return self.n, self.b, self.b_tilde
@@ -161,3 +169,11 @@ def require_dense_order(n: int) -> None:
     if n > _MAX_DENSE_ORDER:
         raise DenseSizeError(f"order {n} is above {_MAX_DENSE_ORDER}, the cap on n x n arrays, "
                              "the sign pattern and the exact norm's pass")
+
+
+def require_vector_order(n: int) -> None:
+    """Raise :class:`DenseSizeError` for orders whose n-vectors exceed the per-array budget,
+    before the first one is allocated."""
+    if n > _MAX_VECTOR_ORDER:
+        raise DenseSizeError(f"order {n} is above {_MAX_VECTOR_ORDER} (2**28), the cap on "
+                             "n-vectors of float64, 2 GiB each")

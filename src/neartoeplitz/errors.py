@@ -11,7 +11,8 @@ class PivotBreakdownError(SingularMatrixError):
 
 
 class DenseSizeError(ValueError):
-    """A size cap is exceeded (order 2**14, or 2**20 numbers in a CLI report); refused up front."""
+    """A size cap is exceeded (order 2**14 for n x n work, 2**28 for n-vectors, or 2**20 numbers
+    in a CLI report); refused up front."""
 
 
 class UnsupportedCaseError(ValueError):

@@ -781,6 +781,19 @@ class TestImportBoundary:
     def test_import_does_not_load_numpy(self):
         assert run_python(f"import sys, neartoeplitz; {NUMPY_LOADED}").split() == ["False"]
 
+    def test_a_public_name_loads_only_its_modules(self):
+        # ``import neartoeplitz`` loads no submodule; a scalar name loads its module and that
+        # module's imports, and neither numpy nor the array modules.
+        loaded = "print(sorted(m for m in sys.modules if m.startswith('neartoeplitz.')))"
+        out = run_python(f"import sys, neartoeplitz\n{loaded}\n"
+                         f"neartoeplitz.trace_inverse\n{loaded}\n{NUMPY_LOADED}")
+        assert out.splitlines() == [
+            "[]",
+            "['neartoeplitz.analysis', 'neartoeplitz.config', 'neartoeplitz.core', "
+            "'neartoeplitz.errors']",
+            "False",
+        ]
+
     @pytest.mark.parametrize("argv, code", NUMPY_FREE_CALLS)
     def test_scalar_subcommand_does_not_load_numpy(self, argv, code):
         out = run_main(argv, f"{NUMPY_LOADED}\n{STARTUP_LOADED}", code)

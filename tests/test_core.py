@@ -23,6 +23,7 @@ from neartoeplitz import (
     near_toeplitz_inverse_entry,
     reference_inverse,
     rowsum,
+    rowsums,
     sign_pattern,
     singularity_report,
     solve_fixed_point,
@@ -614,6 +615,21 @@ class TestDenseSizeCap:
             for dense, c in calls:
                 with pytest.raises(DenseSizeError, match=str(_MAX_DENSE_ORDER)):
                     dense(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [2**40, 2**53])
+    def test_vectors_refused_above_the_budget_before_allocating(self, n):
+        # Admitted orders whose n-vectors would each take 8 TiB or more: refused, not MemoryError.
+        cfg = MatrixConfig(n, 2, 3.0)
+        prob = BvpProblem(n=n, length=1.0, k_coef=1.0, nonlinearity="fisher", cfg=cfg)
+        tracemalloc.start()
+        try:
+            for call in (lambda: rowsums(cfg), lambda: solve_fixed_point(prob)):
+                with pytest.raises(DenseSizeError, match=r"2\*\*28"):
+                    call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

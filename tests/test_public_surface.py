@@ -1,5 +1,5 @@
-"""The package's public names: pinned, imported or loaded lazily, and enough for the CLI, demos
-and benchmark."""
+"""The package's public names: pinned, each loaded from its module on first use, and enough for
+the CLI, demos and benchmark."""
 
 import ast
 import importlib
@@ -85,15 +85,14 @@ def test_public_signatures_are_pinned():
 
 
 def test_all_equals_the_names_init_imports():
-    """__all__ is the eager imports of __init__ plus its lazy table, which are disjoint."""
+    """__init__ writes each public name once, in its name -> module table, and __all__ is that
+    table's keys; every module it names is a file of the package."""
     init = Path(neartoeplitz.__file__)
-    imported = set()
-    for module in ("analysis", "config", "core", "errors"):
-        imported |= _imported_from(init, module, 1)
-    lazy = set(neartoeplitz._LAZY)
-    assert not imported & lazy
-    assert imported | lazy == set(neartoeplitz.__all__)
-    assert set(neartoeplitz._LAZY.values()) == {"bvp", "oracle"}
+    strings = [node.value for node in ast.walk(ast.parse(init.read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert all(strings.count(name) == 1 for name in PUBLIC)
+    assert neartoeplitz.__all__ == sorted(neartoeplitz._LAZY) == PUBLIC
+    assert all((init.parent / f"{module}.py").is_file() for module in neartoeplitz._LAZY.values())
 
 
 def test_lazy_names_are_the_submodule_objects():
