@@ -46,14 +46,6 @@ def btilde_samples(n: int, b: int, count: int = SAMPLES_PER_N) -> np.ndarray:
     return np.array(out)
 
 
-def sweep_configs():
-    """Every (cfg) of the canonical acceptance sweep."""
-    for n in SWEEP_N:
-        for b in SWEEP_B:
-            for bt in btilde_samples(n, b):
-                yield MatrixConfig(n=n, b=b, b_tilde=float(bt))
-
-
 def singular_matrix(n: int, b: int, bt: float) -> np.ndarray:
     """The dense operator at a corner value that no ``MatrixConfig`` admits, such as a
     singular corner: the Toeplitz matrix of (n, b) with both corner entries set to bt."""

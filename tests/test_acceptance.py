@@ -19,7 +19,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from neartoeplitz import (
     MatrixConfig,

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from neartoeplitz import (
     MatrixConfig,
     UnsupportedCaseError,
+    assemble_inverse,
     build_matrix,
     exact_infinity_norm,
     lower_bound,
-    reference_inverse,
     reference_norm,
     reference_rowsums,
     reference_trace,
@@ -149,15 +149,6 @@ class TestSignPattern:
         assert pat[1][3] == 0
         assert pat[0][1] == -1
 
-    def test_matches_oracle_sign(self):
-        for n in (5, 8, 11):
-            for bt in (-3.0, -1.0, -0.5, 0.0):
-                cfg = MatrixConfig(n, 2, bt)
-                ref = reference_inverse(build_matrix(cfg)).entries
-                signs = np.sign(ref)
-                signs[np.abs(ref) <= 1e-12] = 0
-                assert np.array_equal(np.array(sign_pattern(cfg)), signs.astype(int))
-
     def test_symmetric_and_centrosymmetric(self):
         pat = np.array(sign_pattern(MatrixConfig(9, 2, -0.25)))
         assert np.array_equal(pat, pat.T)
@@ -209,12 +200,6 @@ class TestExactNorm:
             cfg = MatrixConfig(n, 2, bt)
             assert exact_infinity_norm(cfg) == pytest.approx(rowsums(cfg).max(), rel=1e-12)
 
-    def test_norm_parity(self):
-        for n, bt in [(9, 3.1), (14, -0.62), (21, -7.3)]:
-            a = exact_infinity_norm(MatrixConfig(n, -2, bt))
-            b = exact_infinity_norm(MatrixConfig(n, 2, -bt))
-            assert a == b
-
 
 #: Orders of the exact-oracle sweep; its 28 regime corners at n = 24 take about 0.9 s.
 EXACT_SWEEP_N = (*range(4, 10), 12, 17, 24)
@@ -241,9 +226,9 @@ def test_sandwich_holds_exactly_where_a_bound_is_attained(n, b, bt):
 
 
 class TestBandedNorm:
-    """The norm against the full grid of the closed form, which the banded float sum it
-    replaced reproduced bit for bit: equal to the grid's exact norm over every row
-    (``helpers.exact_grid_norm``), and within its stated bound of the float grid sum."""
+    """The integer norm against the full grid of the closed form: equal to the grid's exact
+    norm over every row (``helpers.exact_grid_norm``), and within ``helpers.grid_norm_rtol``
+    of the float grid sum (``helpers.grid_norm``)."""
 
     @pytest.mark.parametrize("n", [*range(4, 81), 127, 128, 129, 191, 192, 193, 257, 1000])
     def test_bitwise_equal_to_grid_norm(self, n):
@@ -263,8 +248,8 @@ class TestBandedNorm:
             assert exact_infinity_norm(cfg) == exact_grid_norm(cfg)
 
     def test_memory_is_constant(self):
-        # A band of 64 rows alone was 8 MiB at n = 2**14; the integer pass holds a few ints,
-        # about 4 KiB at b_tilde = 1e-300, whose integers have some 2,000 bits.
+        # The integer pass holds a few ints: about 4 KiB at b_tilde = 1e-300, whose integers
+        # have some 2,000 bits.
         tracemalloc.start()
         try:
             for b, bt in ((2, -0.4), (-2, 3.0), (2, 1e-300)):
@@ -290,9 +275,6 @@ class TestLowerBound:
         for bt in (0.9, -1.4, 6.0):
             cfg = MatrixConfig(8, 2, bt)
             assert lower_bound(cfg) <= reference_norm(build_matrix(cfg)) * (1 + 1e-12)
-
-    def test_negative_b_mirrors(self):
-        assert lower_bound(MatrixConfig(11, -2, -4.4)) == lower_bound(MatrixConfig(11, 2, 4.4))
 
 
 class TestUpperBound:
@@ -334,13 +316,6 @@ class TestUpperBound:
         assert upper_bound(MatrixConfig(n, -2, -edge)).branch == "m1_lt_btilde_le_mnm2"
         assert upper_bound(MatrixConfig(n, -2, 0.0)).branch == "btilde_ge_0"
 
-    def test_mirror_equals_positive_case(self):
-        for n, bt in [(9, 0.44), (16, -3.1), (23, 5.5)]:
-            a = upper_bound(MatrixConfig(n, -2, bt))
-            b = upper_bound(MatrixConfig(n, 2, -bt))
-            assert a.value == pytest.approx(b.value, rel=1e-14)
-            assert a.terms.keys() == b.terms.keys()
-
     def test_bounds_report_composition(self):
         """The three numbers the CLI's ``bounds`` report puts side by side."""
         cfg = MatrixConfig(10, 2, 5.93)
@@ -372,21 +347,10 @@ def test_s_dominates_t_for_nonpositive_corners(n, b, magnitude):
     assert ub.value == ub.terms["S"]
 
 
-def test_corollary_equality_for_odd_orders():
-    """For odd n >= 9 and b_tilde <= 0 the norm equals the S term exactly."""
-    for n in range(9, 30, 2):
-        for bt in (-4.0, -1.0, 0.0):
-            cfg = MatrixConfig(n, 2, bt)
-            S = (n + 1) ** 2 / 8 + (4 - (2 + abs(bt)) * n) / (2 * (1 + abs(bt)))
-            assert exact_infinity_norm(cfg) == pytest.approx(S, abs=1e-10 * max(1, abs(S)))
-
-
 def test_trace_matches_diagonal_sum():
     for n in (6, 13, 20):
         for b in (2, -2):
             for bt in btilde_samples(n, b, count=12):
                 cfg = MatrixConfig(n, b, float(bt))
-                from neartoeplitz import assemble_inverse
-
                 diag_sum = float(np.trace(assemble_inverse(cfg).entries))
                 assert trace_inverse(cfg) == pytest.approx(diag_sum, rel=1e-10)

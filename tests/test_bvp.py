@@ -18,7 +18,7 @@ from neartoeplitz import (
     upper_bound,
 )
 from neartoeplitz.bvp import _initial_iterate
-from neartoeplitz.tables import REPRODUCTION_TOL
+from neartoeplitz.tables import REPRODUCTION_TOL, reproduce_fisher
 
 from helpers import allocating_fixed_point, banded_lu_solve, bitwise_equal, nonlinearity
 
@@ -40,10 +40,6 @@ class TestExpectedRate:
         rate = expected_rate(fisher_problem(50, 2, 2.0, 0.5, 1.0))
         assert rate == pytest.approx(0.0325125, rel=1e-12)
         assert rate == pytest.approx(0.0325, abs=5e-4)
-
-    def test_table_b2_large_k(self):
-        rate = expected_rate(fisher_problem(50, 2, 2.0, 0.5, 32.0))
-        assert rate == pytest.approx(1.0404, abs=1e-3)
 
     def test_table_bm2_setup(self):
         rate = expected_rate(fisher_problem(50, -2, -2.0, 0.05, 1.0))
@@ -105,8 +101,6 @@ class TestSolveFixedPoint:
 
     def test_contraction_guard_across_both_tables(self):
         # sub-unit predicted rate implies convergence with observed <= 1.05x
-        from neartoeplitz.tables import reproduce_fisher
-
         for b in (2, -2):
             for row in reproduce_fisher(b):
                 if row["expected_rate"] < 1.0:
@@ -342,12 +336,11 @@ def test_bitwise_equal_to_allocating_loop(b, kind, regime):
 
 @pytest.mark.parametrize("kind", ["fisher", "bratu"])
 @pytest.mark.parametrize("b", [2, -2])
-def test_solve_holds_at_most_seven_n_vectors(b, kind):
+def test_solve_holds_at_most_six_n_vectors(b, kind):
     """Every n-vector is allocated once per solve, none per step.
 
     The live vectors are the iterate, the next iterate, one scratch vector and
-    the solver's pre, post and mid weights: 6 of 8 n bytes.  The guard allows 7;
-    a boundary vector g held 7, and allocating f(u) and a solver buffer 10 to 12.
+    the solver's pre, post and mid weights: 6 of 8 n bytes.
     """
     n = 100_000
     prob = BvpProblem(n=n, length=1.0, k_coef=1.0, nonlinearity=kind,
@@ -363,4 +356,4 @@ def test_solve_holds_at_most_seven_n_vectors(b, kind):
     finally:
         tracemalloc.stop()
     assert (res.iterations, res.converged) == (30, False)
-    assert peak <= 7 * 8 * n + 64 * 1024
+    assert peak <= 6 * 8 * n + 64 * 1024

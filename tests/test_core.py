@@ -49,49 +49,14 @@ from helpers import (
 )
 
 
-def tridiag(n, b):
-    return np.diag(np.full(n, float(b))) + np.diag(np.full(n - 1, -1.0), 1) + np.diag(np.full(n - 1, -1.0), -1)
-
-
 def toeplitz_entry(n, b, i, j):
     """Entry (i, j) of the inverse of tridiag(-1, b, -1): the corner equal to the diagonal."""
     return near_toeplitz_inverse_entry(MatrixConfig(n, b, b), i, j)
 
 
-def nonsingular_btilde(n, b):
-    sign = 1.0 if b > 0 else -1.0
-    return st.floats(-8, 8).filter(
-        lambda bt: min(abs(bt - sign), abs(bt - sign * (n - 3) / (n - 1))) > 1e-4
-    )
-
-
 class TestToeplitzEntry:
-    def test_top_left_4x4(self):
-        # dense elimination oracle for the 4x4 case gives 4/5 at (1, 1)
-        inv = reference_inverse(tridiag(4, 2))
-        assert inv.entries[0, 0] == pytest.approx(0.8, abs=1e-14)
-        assert toeplitz_entry(4, 2, 1, 1) == pytest.approx(0.8, abs=1e-14)
-
-    def test_negative_b_4x4(self):
-        inv = reference_inverse(tridiag(4, -2))
-        assert toeplitz_entry(4, -2, 2, 1) == pytest.approx(inv.entries[1, 0], abs=1e-14)
-        assert toeplitz_entry(4, -2, 2, 1) == pytest.approx(0.6, abs=1e-14)
-
-    def test_corner_entry(self):
-        assert toeplitz_entry(5, 2, 5, 1) == pytest.approx(1 / 6, rel=1e-15)
-
-    def test_symmetry_swap(self):
-        assert toeplitz_entry(7, 2, 2, 5) == toeplitz_entry(7, 2, 5, 2)
-        assert toeplitz_entry(7, -2, 2, 5) == toeplitz_entry(7, -2, 5, 2)
-
-    def test_parity_against_positive_b(self):
-        for i in range(1, 7):
-            for j in range(1, 7):
-                plus = toeplitz_entry(6, 2, i, j)
-                minus = toeplitz_entry(6, -2, i, j)
-                assert minus == pytest.approx((-1.0) ** (abs(i - j) + 1) * plus, rel=1e-15)
-
     def test_exact_integer_formula(self):
+        """Every entry at n <= 40: symmetric, positive for b = +2, parity-signed for b = -2."""
         for n in range(4, 41):
             for b in (2, -2):
                 for i in range(1, n + 1):
@@ -101,10 +66,6 @@ class TestToeplitzEntry:
                         if b == -2 and (hi + 1 - lo) % 2 == 1:
                             want = -want
                         assert toeplitz_entry(n, b, i, j) == want
-
-    def test_all_positive_for_b2(self):
-        vals = [toeplitz_entry(8, 2, i, j) for i in range(1, 9) for j in range(1, 9)]
-        assert min(vals) > 0
 
     def test_index_errors(self):
         with pytest.raises(IndexError):
@@ -386,10 +347,6 @@ class TestSingularity:
 
 
 class TestNearToeplitzEntry:
-    def test_reduces_to_toeplitz(self):
-        cfg = MatrixConfig(5, 2, 2.0)
-        assert near_toeplitz_inverse_entry(cfg, 3, 2) == 1.0
-
     def test_first_row_sign_for_negative_corner(self):
         assert near_toeplitz_inverse_entry(MatrixConfig(5, 2, -1.0), 1, 1) < 0
 
@@ -449,10 +406,11 @@ def mirror_btilde(n):
 @given(n=st.integers(4, 60), data=st.data())
 def test_b_minus_2_is_the_mirrored_b_plus_2(n, data):
     """A_{-2}(bt)^-1 = -S A_{+2}(-bt)^-1 S with S = diag((-1)^i), bit for bit in the trace,
-    both bounds, the grid and the factored solve."""
+    the norm, both bounds, the grid and the factored solve."""
     bt = data.draw(mirror_btilde(n))
     minus, plus = MatrixConfig(n, -2, bt), MatrixConfig(n, 2, -bt)
     assert bitwise_equal(np.float64(trace_inverse(minus)), np.float64(0.0 - trace_inverse(plus)))
+    assert exact_infinity_norm(minus) == exact_infinity_norm(plus)
     assert lower_bound(minus) == lower_bound(plus)
     ub_minus, ub_plus = upper_bound(minus), upper_bound(plus)
     assert (ub_minus.value, ub_minus.terms) == (ub_plus.value, ub_plus.terms)
@@ -463,16 +421,6 @@ def test_b_minus_2_is_the_mirrored_b_plus_2(n, data):
     x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(n)
     want = sigma * inverse_solver(plus, scale=0.3)(-sigma * x)
     assert bitwise_equal(inverse_solver(minus, scale=0.3)(x), want)
-
-
-@settings(max_examples=120, deadline=None)
-@given(n=st.integers(4, 24), b=st.sampled_from([2, -2]), data=st.data())
-def test_reduction_to_toeplitz_is_exact(n, b, data):
-    """Corner equal to the diagonal reduces exactly to the Toeplitz entry."""
-    i = data.draw(st.integers(1, n))
-    j = data.draw(st.integers(1, n))
-    cfg = MatrixConfig(n, b, float(b))
-    assert near_toeplitz_inverse_entry(cfg, i, j) == toeplitz_entry(n, b, i, j)
 
 
 class TestAssembleInverse:
@@ -499,16 +447,6 @@ class TestAssembleInverse:
         assert inv.source == "closed_form"
         assert inv.entries.shape == (6, 6)
 
-    def test_symmetry_is_exact(self):
-        for cfg in (MatrixConfig(9, 2, -2.5), MatrixConfig(12, -2, 3.7)):
-            e = assemble_inverse(cfg).entries
-            assert np.array_equal(e, e.T)
-
-    def test_centrosymmetry(self):
-        for cfg in (MatrixConfig(9, 2, -2.5), MatrixConfig(12, -2, 3.7)):
-            e = assemble_inverse(cfg).entries
-            assert np.array_equal(e, e[::-1, ::-1])
-
     def test_mapped_storage_is_bitwise_the_heap_storage(self, monkeypatch):
         from neartoeplitz import core
 
@@ -518,12 +456,6 @@ class TestAssembleInverse:
         mapped = assemble_inverse(cfg).entries
         assert bitwise_equal(mapped, heap)
         assert mapped.flags.c_contiguous and mapped.flags.writeable
-
-    def test_deterministic(self):
-        cfg = MatrixConfig(11, 2, 0.37)
-        a = assemble_inverse(cfg).entries
-        b = assemble_inverse(cfg).entries
-        assert np.array_equal(a, b)
 
     def test_oracle_equivalence_spot_checks(self):
         for n, b, bt in [(15, 2, -6.2), (20, -2, 7.9), (30, 2, 0.93), (25, -2, -0.41)]:

@@ -65,6 +65,9 @@ class TestReferenceInverse:
         expected = np.array([[3, 2, 1], [2, 4, 2], [1, 2, 3]]) / 4.0
         assert np.max(np.abs(inv.entries - expected)) <= 1e-14
         assert inv.source == "oracle"
+        # At n = 4: 4/5 at (1, 1) for b = 2, and 3/5 at (2, 1) for b = -2.
+        assert reference_inverse(tridiag(4, 2)).entries[0, 0] == pytest.approx(0.8, abs=1e-14)
+        assert reference_inverse(tridiag(4, -2)).entries[1, 0] == pytest.approx(0.6, abs=1e-14)
 
     def test_identity(self):
         inv = reference_inverse(np.eye(4))
