@@ -1,11 +1,15 @@
-"""Shared sweep grid and cached reference data for the test suite."""
+"""Shared sweep grid, cached reference data and the fresh-interpreter runner of the test suite."""
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -404,3 +408,11 @@ def regime_corners(n, b):
     plus = [5.93, 2.0, 1.5, hi, 0.5 * (lo + hi), 0.5 * lo, -3.7, -0.4]
     plus += [1.0 + 1e-9, 1.0 - 1e-9, lo + 1e-9, lo - 1e-9]
     return [s * bt for bt in plus] + [0.0, -0.0]
+
+
+def run_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a fresh interpreter with this checkout's ``src`` first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)

@@ -96,13 +96,13 @@ class TestRowSums:
         assert peak < 64 * 2**10
 
     def test_centrosymmetry_of_rowsums(self):
-        for cfg in (MatrixConfig(9, 2, -0.8), MatrixConfig(10, 2, 4.4)):
+        """A commutes with the exchange matrix for either sign of b, so A^{-1} does too."""
+        for cfg in (MatrixConfig(9, 2, -0.8), MatrixConfig(10, 2, 4.4), MatrixConfig(7, -2, 2.2),
+                    MatrixConfig(8, -2, -0.8)):
             vals = rowsums(cfg)
             assert np.max(np.abs(vals - vals[::-1])) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
 
-    def test_negative_b_rowsums_not_centrosymmetric_but_sign_flipped(self):
-        # with b = -2 the row sums alternate; reversing matches up to the
-        # parity structure, so only check they agree with the oracle
+    def test_odd_n_negative_b_against_oracle(self):
         cfg = MatrixConfig(7, -2, 2.2)
         assert np.allclose(rowsums(cfg), reference_rowsums(build_matrix(cfg)), rtol=1e-10, atol=1e-12)
 

@@ -2,10 +2,6 @@
 
 import argparse
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ from neartoeplitz import (
 from neartoeplitz import bvp, cli
 from neartoeplitz.cli import main
 
-from helpers import bitwise_equal, regime_corners, tril_mirror_assembly
+from helpers import bitwise_equal, regime_corners, run_fresh, tril_mirror_assembly
 
 
 def run_cli(capsys, *argv):
@@ -58,15 +54,10 @@ class TestReports:
         assert json.loads(out)["outputs"]["trace"] == pytest.approx(4.0)
 
     def test_entry_value(self, capsys):
-        _, out, _ = run_cli(capsys, "entry", "--n", "5", "--b", "2", "--btilde", "2",
-                            "--i", "3", "--j", "2")
-        assert json.loads(out)["outputs"]["value"] == pytest.approx(1.0)
-
-    def test_entry_toeplitz_flag(self, capsys):
-        """The Toeplitz inverse is the near-Toeplitz one at btilde = b."""
-        _, out, _ = run_cli(capsys, "entry", "--n", "5", "--b", "2", "--btilde", "2",
-                            "--i", "5", "--j", "1")
-        assert json.loads(out)["outputs"]["value"] == pytest.approx(1 / 6)
+        for i, j, value in (("3", "2", 1.0), ("5", "1", 1 / 6)):
+            _, out, _ = run_cli(capsys, "entry", "--n", "5", "--b", "2", "--btilde", "2",
+                                "--i", i, "--j", j)
+            assert json.loads(out)["outputs"]["value"] == pytest.approx(value)
 
     def test_toeplitz_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -330,14 +321,10 @@ class TestExitCodes:
         assert "error" in json.loads(err)
 
     def test_order_above_dense_cap_is_2(self, capsys):
-        for command in ("invert", "norm", "bounds"):
-            code, out, err = run_cli(capsys, command, "--n", "100000", "--b", "2", "--btilde", "3")
-            assert code == 2
-            assert out == ""
+        for command, bt in (("invert", "3"), ("norm", "3"), ("bounds", "3"), ("signs", "-1")):
+            code, out, err = run_cli(capsys, command, "--n", "100000", "--b", "2", "--btilde", bt)
+            assert (code, out) == (2, "")
             assert json.loads(err)["error"]["type"] == "DenseSizeError"
-        code, out, err = run_cli(capsys, "signs", "--n", "100000", "--b", "2", "--btilde", "-1")
-        assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["type"] == "DenseSizeError"
 
     @pytest.mark.parametrize("n", [2**53 + 1, 10**309], ids=["2**53+1", "10**309"])
     @pytest.mark.parametrize("argv", ORDER_CALLS, ids=" ".join)
@@ -363,19 +350,11 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert strict_json(err)["error"]["type"] == "ValueError"
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_result_is_2(self, capsys, fmt):
-        """btilde = 1e160 is beyond the 2**400 corner bound, past which D overflows and the
-        norm would be NaN, which no report may print."""
-        code, out, err = run_cli(capsys, "norm", "--n", "8", "--b", "2", "--btilde", "1e160",
-                                 "--format", fmt)
-        assert (code, out) == (2, "")
-        assert strict_json(err)["error"]["type"] == "ValueError"
-
     @pytest.mark.parametrize("argv", [
         ["solve-bvp", "--n", "8", "--b", "-2", "--btilde", "2.3e307", "--length", "1", "--k", "1",
          "--nonlinearity", "fisher"],
         ["norm", "--n", "8", "--b", "2", "--btilde", "1e160"],
+        ["norm", "--n", "8", "--b", "2", "--btilde", "1e160", "--format", "csv"],
         ["bounds", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["invert", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["entry", "--n", "8", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--chat", "0"],
@@ -385,13 +364,13 @@ class TestExitCodes:
         [*_BVP, "--length", "1e-170", "--bc-left", "0.5"],
         [*_BVP, "--length", "1e300", "--nonlinearity", "bratu"],
     ], ids=" ".join)
-    def test_refused_options_are_2_with_one_error_line(self, argv):
-        """Corners beyond 2**400, |c_hat| outside [2**-400, 2**400] and h^2/|c_hat| outside
-        the float range.  A fresh interpreter shows warnings, so stderr must hold the error
-        alone."""
-        proc = run_module(argv)
-        assert (proc.returncode, proc.stdout) == (2, "")
-        lines = proc.stderr.splitlines()
+    def test_refused_options_are_2_with_one_error_line(self, capsys, argv):
+        """Corners beyond 2**400, past which D overflows and a norm would be NaN, which no
+        report may print; |c_hat| outside [2**-400, 2**400] and h^2/|c_hat| outside the float
+        range.  Any warning is an error here, so stderr holds the error alone."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
         assert len(lines) == 1 and strict_json(lines[0])["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize("argv", [
@@ -403,15 +382,15 @@ class TestExitCodes:
         ["signs", "--n", "8", "--b", "-2", "--btilde", "-1"],
         ["rowsum", *_SINGULAR, "--i", "99"],
     ], ids=" ".join)
-    def test_a_singular_corner_is_3_before_a_second_fault(self, argv):
+    def test_a_singular_corner_is_3_before_a_second_fault(self, capsys, argv):
         """The triple is checked first, its range and then its singularity; c_hat, the indices,
         the BVP options and the sign-pattern regime only after it.  Each call also has one of
         those wrong, and exits 3 with the config's own message, on one line."""
-        proc = run_module(argv)
-        assert (proc.returncode, proc.stdout) == (3, "")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
         with pytest.raises(SingularMatrixError) as info:
             MatrixConfig(int(argv[2]), int(argv[4]), float(argv[6]))
-        lines = proc.stderr.splitlines()
+        lines = err.splitlines()
         assert len(lines) == 1 and strict_json(lines[0])["error"] == {
             "type": "SingularMatrixError", "message": str(info.value)}
 
@@ -422,13 +401,24 @@ class TestExitCodes:
         [*_BVP, "--b", "-2", "--btilde", "-3", "--length", "1e150"],
         [*_BVP, "--n", "4", "--length", "4e154"],
     ], ids=" ".join)
-    def test_overflowing_solves_are_4_with_one_error_line(self, argv):
-        """An overflow in g, in f(u) or in the solver's weights is reported by the non-finite
-        step alone: numpy writes no warning before the error object."""
-        proc = run_module(argv)
-        assert (proc.returncode, proc.stdout) == (4, "")
-        lines = proc.stderr.splitlines()
+    def test_overflowing_solves_are_4_with_one_error_line(self, capsys, argv):
+        """An overflow in the boundary values, in f(u) or in the solver's weights is reported
+        by the non-finite step alone: numpy warns of none of them, which would be an error
+        here, before the error object."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        lines = err.splitlines()
         assert len(lines) == 1 and strict_json(lines[0])["error"]["message"] == "iterate overflowed"
+
+    @pytest.mark.parametrize("code, argv", [
+        (0, _BVP), (2, [*_BVP, "--chat", "1e-320"]),
+        (3, ["signs", "--n", "8", "--b", "-2", "--btilde", "-1"]), (4, [*_BVP, "--bc-left", "1e308"])])
+    def test_python_m_writes_what_main_writes(self, capsys, code, argv):
+        """A fresh interpreter, whose default filters print warnings, exits and writes as
+        ``cli.main`` does: a record alone on success, one error line alone on failure."""
+        proc = run_fresh("-m", "neartoeplitz", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+        assert proc.returncode == code and len(proc.stderr.splitlines()) == (code != 0)
 
     def test_unwritable_out_is_2(self, capsys, tmp_path):
         path = str(tmp_path / "missing" / "x.json")
@@ -629,47 +619,18 @@ class TestChat:
         assert code == 2 and message.startswith("scaling |c_hat| must lie in")
 
 
-#: Prints whether any scipy module was imported by the code run before it.
-SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-#: Prints whether any numpy module was imported by the code run before it.
-NUMPY_LOADED = "print(any(m.split('.')[0] == 'numpy' for m in sys.modules))"
-#: Prints which start-up costs of no use to a scalar call were imported: dataclasses and
-#: inspect (8 ms together), and the tables module.
-STARTUP_LOADED = ("print(sorted({'dataclasses', 'inspect', 'neartoeplitz.tables'}"
-                  " & set(sys.modules)))")
-
-
-def _run_fresh(*argv):
-    """Run the interpreter with ``argv`` so that it finds this checkout's package first."""
-    src = str(Path(neartoeplitz.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
-                          timeout=120)
-
-
-def run_module(argv):
-    """``python -m neartoeplitz *argv`` in a fresh interpreter, with the default warning filters."""
-    return _run_fresh("-m", "neartoeplitz", *argv)
-
-
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that finds this checkout's package first."""
-    proc = _run_fresh("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def run_main(argv, check, code=0):
-    """``python -m neartoeplitz *argv`` in a fresh interpreter; require exit ``code``, run ``check``."""
-    return run_python(
-        "import runpy, sys\n"
-        f"sys.argv = {['neartoeplitz', *argv]!r}\n"
-        "try:\n"
-        "    runpy.run_module('neartoeplitz', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        f"    assert exc.code == {code}, exc.code\n"
-        f"{check}\n"
-    )
+#: Calls ``cli.main`` with each argv of the JSON list ``sys.argv[1]`` in turn, in one interpreter,
+#: and prints per call a JSON line of its exit code, its stdout and the watched modules then loaded.
+RUN_CALLS = """
+import io, json, sys
+from contextlib import redirect_stdout
+from neartoeplitz.cli import main
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    loaded = set(sys.modules) & {'numpy', 'scipy', 'dataclasses', 'inspect', 'neartoeplitz.tables'}
+    print(json.dumps({'code': code, 'stdout': out.getvalue(), 'loaded': sorted(loaded)}))
+"""
 
 
 #: Calls that build no array, with their exit codes: both formats, both signs, a singular
@@ -701,61 +662,90 @@ NUMPY_FREE_CALLS = [
 ]
 
 
+#: An inverse small enough to check against numpy's.
+SMALL_INVERT = ["invert", "--n", "6", "--b", "-2", "--btilde", "0.95"]
+#: The calls of ``parser_calls`` that load numpy.
+NUMPY_LOADERS = ("solve-bvp", "reproduce table5", "reproduce table6")
+
+
+def parser_calls():
+    """A call of each subcommand the parser has, and of each table ``reproduce`` prints."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    calls = {command: [command, *OPTION_CALLS[command][0]] for command in commands
+             if command != "reproduce"}
+    calls.update({f"reproduce {table_id}": ["reproduce", table_id]
+                  for table_id in neartoeplitz.config.TABLE_IDS})
+    return calls
+
+
+@pytest.fixture(scope="module")
+def fresh_runs():
+    """``RUN_CALLS``'s record of each call, keyed by its argv joined with spaces: the calls that
+    build no array in one fresh interpreter, the norm tables last as they load the tables
+    module, and each of ``NUMPY_LOADERS`` in its own."""
+    calls = parser_calls()
+    shared = [*(param.values[0] for param in NUMPY_FREE_CALLS), SMALL_INVERT,
+              *(argv for name, argv in calls.items() if name not in NUMPY_LOADERS)]
+    shared.sort(key=lambda argv: argv[0] == "reproduce")
+    runs = {}
+    for group in [shared, *([calls[name]] for name in NUMPY_LOADERS)]:
+        proc = run_fresh("-c", RUN_CALLS, json.dumps(group))
+        assert proc.returncode == 0, proc.stderr
+        runs.update(zip(map(" ".join, group), map(json.loads, proc.stdout.splitlines()),
+                        strict=True))
+    return runs
+
+
 class TestImportBoundary:
     """scipy is a test-only dependency: the package and its CLI never import it.  numpy is
     imported only by code that builds an array, so the scalar subcommands, the norm and its
     bounds, the sign pattern, the full row-sum list and the full inverse run without it, and
-    without dataclasses, inspect or the tables module; the two norm tables load the tables
-    module and no numpy."""
+    without dataclasses and inspect (8 ms of start-up together) or the tables module; the two
+    norm tables load the tables module and no numpy."""
 
     def test_a_public_name_loads_only_its_modules(self):
         # ``import neartoeplitz`` loads no submodule; a scalar name loads its module and that
         # module's imports, and neither numpy, scipy nor the array modules.
-        loaded = "print(sorted(m for m in sys.modules if m.startswith('neartoeplitz.')))"
-        out = run_python(f"import sys, neartoeplitz\n{loaded}\n"
-                         f"neartoeplitz.trace_inverse\n{loaded}\n{NUMPY_LOADED}\n{SCIPY_LOADED}")
-        assert out.splitlines() == [
+        loaded = ("print(sorted(m for m in sys.modules"
+                  " if m.startswith(('neartoeplitz.', 'numpy', 'scipy'))))")
+        proc = run_fresh("-c", f"import sys, neartoeplitz\n{loaded}\n"
+                               f"neartoeplitz.trace_inverse\n{loaded}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
             "[]",
             "['neartoeplitz.analysis', 'neartoeplitz.config', 'neartoeplitz.core', "
             "'neartoeplitz.errors']",
-            "False",
-            "False",
         ]
 
     @pytest.mark.parametrize("argv, code", NUMPY_FREE_CALLS)
-    def test_scalar_subcommand_does_not_load_numpy(self, argv, code):
-        out = run_main(argv, f"{NUMPY_LOADED}\n{STARTUP_LOADED}", code)
-        assert out.splitlines()[-2:] == ["False", "[]"]
+    def test_scalar_subcommand_does_not_load_numpy(self, fresh_runs, argv, code):
+        run = fresh_runs[" ".join(argv)]
+        assert (run["code"], run["loaded"]) == (code, [])
         if code == 0:
+            out = run["stdout"]
             assert f'"command": "{argv[0]}"' in out or f"command,{argv[0]}" in out
 
     @pytest.mark.parametrize("table_id", ["fig2_table", "fig3_table"])
-    def test_norm_table_does_not_load_numpy(self, table_id):
-        out = run_main(["reproduce", table_id], f"{NUMPY_LOADED}\n{STARTUP_LOADED}")
-        assert out.splitlines()[-2:] == ["False", "['neartoeplitz.tables']"]
-        assert out.startswith("n,btilde,norm,upper_bound,branch,")
+    def test_norm_table_does_not_load_numpy(self, fresh_runs, table_id):
+        run = fresh_runs[f"reproduce {table_id}"]
+        assert (run["code"], run["loaded"]) == (0, ["neartoeplitz.tables"])
+        assert run["stdout"].startswith("n,btilde,norm,upper_bound,branch,")
 
-    def test_only_the_array_subcommands_load_numpy(self):
-        commands = next(a for a in cli.build_parser()._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
-        calls = {command: [command, *OPTION_CALLS[command][0]] for command in commands
-                 if command != "reproduce"}
-        calls.update({f"reproduce {table_id}": ["reproduce", table_id]
-                      for table_id in neartoeplitz.config.TABLE_IDS})
-        loaders = {name for name, argv in calls.items()
-                   if run_main(argv, NUMPY_LOADED).split()[-1] == "True"}
-        assert loaders == {"solve-bvp", "reproduce table5", "reproduce table6"}
+    def test_only_the_array_subcommands_load_numpy(self, fresh_runs):
+        runs = {name: fresh_runs[" ".join(argv)] for name, argv in parser_calls().items()}
+        assert all(run["code"] == 0 for run in runs.values())
+        loaders = {name for name, run in runs.items() if "numpy" in run["loaded"]}
+        assert loaders == set(NUMPY_LOADERS)
 
-    def test_invert_works_without_numpy(self):
-        out = run_main(["invert", "--n", "6", "--b", "-2", "--btilde", "0.95"], NUMPY_LOADED)
-        assert out.split()[-1] == "False"
-        entries = json.loads(out[: out.rindex("}") + 1])["outputs"]["entries"]
+    def test_invert_works_without_numpy(self, fresh_runs):
+        run = fresh_runs[" ".join(SMALL_INVERT)]
+        assert (run["code"], run["loaded"]) == (0, [])
+        entries = json.loads(run["stdout"])["outputs"]["entries"]
         assert np.allclose(entries, np.linalg.inv(build_matrix(MatrixConfig(6, -2, 0.95))),
                            rtol=1e-9, atol=1e-12)
 
-    def test_solve_bvp_does_not_load_scipy(self):
-        argv = ["solve-bvp", "--n", "50", "--b", "-2", "--btilde", "-2",
-                "--length", "0.05", "--k", "81", "--nonlinearity", "fisher"]
-        out = run_main(argv, SCIPY_LOADED)
-        assert json.loads(out[: out.rindex("}") + 1])["outputs"]["converged"] is True
-        assert out.split()[-1] == "False"
+    def test_solve_bvp_does_not_load_scipy(self, fresh_runs):
+        run = fresh_runs[" ".join(parser_calls()["solve-bvp"])]
+        assert json.loads(run["stdout"])["outputs"]["converged"] is True
+        assert run["code"] == 0 and "scipy" not in run["loaded"]

@@ -11,12 +11,12 @@ output change is intended:
 from __future__ import annotations
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import run_fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("data") / "demos.json"
@@ -25,10 +25,7 @@ DEMOS = sorted(ROOT.glob("demos/*.py"))
 
 def run_demo(path: Path) -> dict:
     """Run one demo with ``src`` on the path; record its name, exit code and stdout."""
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(path)], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run_fresh(str(path))
     return {"demo": path.name, "code": proc.returncode, "stdout": proc.stdout}
 
 

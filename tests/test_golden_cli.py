@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import io
 import json
-import os
-import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from helpers import run_fresh
 
 GOLDEN = Path(__file__).with_name("data") / "golden_cli.json"
 
@@ -111,10 +111,7 @@ def test_rowsum_bounds_are_null_for_negative_b():
 
 def test_cli_output_matches_golden_under_optimize():
     """``python -O`` strips asserts; no output may depend on one."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", __file__], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run_fresh("-O", __file__)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["optimize"] == 1
