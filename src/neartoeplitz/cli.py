@@ -3,15 +3,15 @@
 Each subcommand wraps one library call, except ``bounds`` (both bounds next to the exact norm),
 ``invert`` (the O(1) entry function at every index) and ``rowsum`` without ``--i`` (the O(1) row
 sum for every row next to ``rowsum_bounds``); only ``solve-bvp`` and ``reproduce table5`` /
-``table6`` load numpy.  Each emits a deterministic report: JSON by default, CSV with ``--format
-csv`` (``reproduce``: CSV only); computed floats are printed with 10 significant digits, echoed
-inputs as parsed.  Exit codes: 0 success, 2 usage or invalid argument (also an unwritable
-``--out``, a non-finite result, a refused allocation or a report of more than ``_MAX_PRINTED``
-numbers, refused before the work), 3 singular configuration, 4 diverging iteration.  The
-triple is checked first, when the config is built: its range (2), then its singularity (3);
-``--chat``, the indices, the BVP options and the sign-pattern regime only after it.  Every
-failure writes one JSON error object to stderr and nothing to stdout, except argparse's own
-usage errors (an unknown, missing or malformed option), which exit 2 with its usage text.
+``table6`` load numpy.  Each emits a deterministic report: JSON (``reproduce``: CSV); computed
+floats are printed with 10 significant digits, echoed inputs as parsed.  Exit codes: 0 success,
+2 usage or invalid argument (also a non-finite result, a refused allocation, a report of more
+than ``_MAX_PRINTED`` numbers, refused before the work, or a failed write to stdout), 3 singular
+configuration, 4 diverging iteration.  The triple is checked first, when the config is built:
+its range (2), then its singularity (3); ``--chat``, the indices, the BVP options and the
+sign-pattern regime only after it.  Every failure writes one JSON error object to stderr and
+nothing to stdout, except argparse's own usage errors (an unknown, missing or malformed
+option), which exit 2 with its usage text.
 Every option changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``,
 and report for -c_hat times the matrix; ``singular`` answers at the library's one tolerance.
 """
@@ -66,45 +66,20 @@ def _round10(obj):
 
 
 def _fmt(value) -> str:
-    """A CSV cell: a float in 10 significant digits when they give it back, else its repr."""
-    if isinstance(value, float):
-        short = f"{value:.10g}"
-        return short if float(short) == value else repr(value)
-    return str(value)
-
-
-def _csv_rows(field: str, value):
-    """``field,value`` lines of a normalised value: a dict as ``field.key`` lines, a matrix
-    as one line per row, any other list as one line."""
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            yield from _csv_rows(f"{field}.{key}" if field else key, sub)
-    elif isinstance(value, list) and value and isinstance(value[0], list):
-        for row in value:
-            yield from _csv_rows(field, row)
-    else:
-        yield f"{field}," + ",".join(map(_fmt, value if isinstance(value, list) else [value]))
+    """A CSV cell of a ``_round10`` value: a float in 10 significant digits, else ``str``."""
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def _report(args, outputs: dict, branch: str | None = None) -> str:
-    """The subcommand's record, rendered in ``--format``.  ``inputs`` echoes every parsed
-    option except ``--format`` and ``--out``, in the parser's order and unrounded, so that
-    it names the configuration that was computed; only ``outputs`` is rounded."""
+    """The subcommand's JSON record.  ``inputs`` echoes every parsed option, in the parser's
+    order and unrounded, so that it names the configuration that was computed; only
+    ``outputs`` is rounded."""
     inputs = {k: _finite(v) if isinstance(v, float) else v for k, v in vars(args).items()
-              if k not in ("command", "func", "format", "out")}
+              if k not in ("command", "func")}
     rec = {"command": args.command, "inputs": inputs, "outputs": _round10(outputs)}
     if branch is not None:
         rec["branch"] = branch
-    if args.format == "csv":
-        return "\n".join(["field,value", *_csv_rows("", rec)]) + "\n"
     return json.dumps(rec, indent=2) + "\n"
-
-
-def _write(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
 
 
 def _cfg(args) -> MatrixConfig:
@@ -199,48 +174,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "csv"), default="json")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="also write the report to this path")
-
     mat = argparse.ArgumentParser(add_help=False)
     mat.add_argument("--n", type=int, required=True, help="matrix order (4..2**53)")
     mat.add_argument("--b", type=int, choices=(2, -2), required=True)
     mat.add_argument("--btilde", type=float, required=True, help="corner diagonal value")
-    mat_io = [mat, fmt, out]
     chat = argparse.ArgumentParser(add_help=False)
     chat.add_argument("--chat", type=float, default=-1.0, help="results for -c_hat A (default -1)")
-    scaled_io = [mat, chat, fmt, out]
+    scaled = [mat, chat]
 
-    p = sub.add_parser("entry", parents=scaled_io, help="one inverse entry (1-based indices)")
+    p = sub.add_parser("entry", parents=scaled, help="one inverse entry (1-based indices)")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.set_defaults(func=cmd_entry)
 
-    p = sub.add_parser("invert", parents=scaled_io, help="assemble the full inverse")
+    p = sub.add_parser("invert", parents=scaled, help="assemble the full inverse")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("trace", parents=mat_io, help="exact trace of the inverse")
+    p = sub.add_parser("trace", parents=[mat], help="exact trace of the inverse")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("rowsum", parents=mat_io, help="row sum(s) of the inverse")
+    p = sub.add_parser("rowsum", parents=[mat], help="row sum(s) of the inverse")
     p.add_argument("--i", type=int, help="1-based row; omit for all rows plus bounds")
     p.set_defaults(func=cmd_rowsum)
 
-    p = sub.add_parser("norm", parents=mat_io, help="exact infinity norm of the inverse")
+    p = sub.add_parser("norm", parents=[mat], help="exact infinity norm of the inverse")
     p.set_defaults(func=cmd_norm)
 
-    p = sub.add_parser("bounds", parents=mat_io, help="lower/upper norm bounds and branch")
+    p = sub.add_parser("bounds", parents=[mat], help="lower/upper norm bounds and branch")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("signs", parents=mat_io, help="predicted sign pattern (b=2, btilde<=0)")
+    p = sub.add_parser("signs", parents=[mat], help="predicted sign pattern (b=2, btilde<=0)")
     p.set_defaults(func=cmd_signs)
 
-    p = sub.add_parser("singular", parents=mat_io, help="singularity test (tolerance 1e-10)")
+    p = sub.add_parser("singular", parents=[mat], help="singularity test (tolerance 1e-10)")
     p.set_defaults(func=cmd_singular)
 
-    p = sub.add_parser("solve-bvp", parents=scaled_io, help="fixed-point run for u'' = f(u)")
+    p = sub.add_parser("solve-bvp", parents=scaled, help="fixed-point run for u'' = f(u)")
     p.add_argument("--length", type=float, required=True, help="domain length")
     p.add_argument("--k", type=float, required=True, help="nonlinearity strength")
     p.add_argument("--nonlinearity", choices=("fisher", "bratu"), required=True)
@@ -250,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc-right", type=float, default=0.0)
     p.set_defaults(func=cmd_solve_bvp)
 
-    p = sub.add_parser("reproduce", parents=[out], help="recompute a published table (CSV)")
+    p = sub.add_parser("reproduce", help="recompute a published table (CSV)")
     p.add_argument("table_id", choices=TABLE_IDS)
     p.set_defaults(func=cmd_reproduce)
 
@@ -270,7 +239,7 @@ def _error_object(command: str, exc: Exception) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _write(args.func(args), args)
+        sys.stdout.write(args.func(args))
     except SingularMatrixError as exc:
         sys.stderr.write(_error_object(args.command, exc))
         return EXIT_SINGULAR
@@ -281,7 +250,3 @@ def main(argv=None) -> int:
         sys.stderr.write(_error_object(args.command, exc))
         return EXIT_USAGE
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

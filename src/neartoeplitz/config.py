@@ -98,8 +98,11 @@ class MatrixConfig:
     with ``_r`` = _bt - 2 (the same float as 2 (b_tilde - b) / b, since scaling by 2 and
     negation are exact), ``_r1`` = 1 + r and ``_d`` = D = (1 + r)(n + 1 + r (n - 1)), and
     flip once at the output when ``_flip`` (b = -2): entry (i, j) by -(-1)^(i+j), the
-    trace by negation.  Numeric code reads b only here.  ``_gaps`` = b_tilde minus the two
-    singular corners, in this frame (negate both for b = +2 when ``_flip``: exact).
+    trace by negation.  The closed forms of ``core``, ``bvp``, the trace and the bounds read
+    b only through this frame; in ``analysis`` only the b = -2 row sums (``_rowsum``) and the
+    b = +2-only statements (``rowsum_bounds``, ``sign_pattern``) read ``.b``.  ``_gaps`` =
+    b_tilde minus the two singular corners, in this frame (negate both for b = +2 when
+    ``_flip``: exact).
     """
 
     __slots__ = ("n", "b", "b_tilde", "_bt", "_flip", "_r", "_r1", "_d", "_gaps")

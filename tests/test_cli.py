@@ -1,7 +1,9 @@
-"""Command-line interface: wrapping, formats, determinism, exit codes."""
+"""Command-line interface: wrapping, reports, determinism, exit codes."""
 
 import argparse
+import errno
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -34,12 +36,28 @@ def strict_json(text):
 
 class TestReports:
     def test_bounds_published_row(self, capsys):
+        """The published upper bound 11.139, printed in 10 significant digits."""
         code, out, _ = run_cli(capsys, "bounds", "--n", "10", "--b", "2", "--btilde", "5.93")
         rec = json.loads(out)
         assert code == 0
-        assert rec["command"] == "bounds"
-        assert rec["branch"] == "btilde_gt_1"
-        assert rec["outputs"]["upper"] == pytest.approx(11.139, abs=5e-4)
+        assert (rec["command"], rec["branch"]) == ("bounds", "btilde_gt_1")
+        assert '"upper": 11.13919878,' in out
+
+    @pytest.mark.parametrize("b, btilde, branch", [
+        (2, "3", "btilde_gt_1"), (2, "0.95", "nm2_le_btilde_lt_1"),
+        (2, "0.875", "nm3_lt_btilde_lt_nm2"), (2, "0.5", "0_lt_btilde_lt_nm3"),
+        (2, "-1", "btilde_le_0"), (-2, "-3", "btilde_lt_m1"), (-2, "-0.95", "m1_lt_btilde_le_mnm2"),
+        (-2, "-0.875", "mnm2_lt_btilde_lt_mnm3"), (-2, "-0.5", "mnm3_lt_btilde_lt_0"),
+        (-2, "1", "btilde_ge_0"),
+    ])
+    def test_bounds_branch_and_terms_per_regime(self, capsys, b, btilde, branch):
+        """``branch`` names the regime, and ``outputs.terms`` holds the bound's terms in order,
+        rounded; it is empty where the bound has none."""
+        code, out, _ = run_cli(capsys, "bounds", "--n", "13", "--b", str(b), "--btilde", btilde)
+        rec = strict_json(out)
+        assert code == 0 and rec["branch"] == branch
+        terms = upper_bound(MatrixConfig(13, b, float(btilde))).terms
+        assert list(rec["outputs"]["terms"].items()) == list(cli._round10(terms).items())
 
     def test_singular_known_root(self, capsys):
         code, out, _ = run_cli(capsys, "singular", "--n", "5", "--b", "2", "--btilde", "0.5")
@@ -92,6 +110,9 @@ class TestReports:
         pattern = json.loads(out)["outputs"]["pattern"]
         assert pattern[1][3] == 0
         assert pattern[0][1] == -1
+        _, out, _ = run_cli(capsys, "signs", "--n", "5", "--b", "2", "--btilde", "-1")
+        pattern = json.loads(out)["outputs"]["pattern"]
+        assert len(pattern) == 5 and pattern[0] == [-1, -1, -1, -1, 1]
 
     def test_solve_bvp_expected_rate(self, capsys):
         code, out, _ = run_cli(
@@ -132,41 +153,28 @@ ECHO_CALLS = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", ECHO_CALLS)
-def test_inputs_echo_every_parsed_option(capsys, tmp_path, command, fmt):
-    """``inputs`` holds the parsed options in the parser's order, not the command line's,
-    without ``--format`` and ``--out``."""
+def test_inputs_echo_every_parsed_option(capsys, command):
+    """``inputs`` holds the parsed options in the parser's order, not the command line's."""
     extra, echoed = ECHO_CALLS[command]
-    path = tmp_path / "record"
-    code, out, _ = run_cli(capsys, command, *extra, "--format", fmt, "--out", str(path),
-                           "--btilde", "-3", "--b", "2", "--n", "8")
-    assert code == 0 and path.read_text() == out
+    code, out, _ = run_cli(capsys, command, *extra, "--btilde", "-3", "--b", "2", "--n", "8")
+    assert code == 0
     want = {"n": 8, "b": 2, "btilde": -3.0} | echoed
-    if fmt == "json":
-        assert list(strict_json(out)["inputs"].items()) == list(want.items())
-    else:
-        got = [line for line in out.splitlines() if line.startswith("inputs.")]
-        assert got == [f"inputs.{key},{cli._fmt(value)}" for key, value in want.items()]
+    assert list(strict_json(out)["inputs"].items()) == list(want.items())
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_inputs_echo_is_not_rounded(capsys, fmt):
+def test_inputs_echo_is_not_rounded(capsys):
     """The echo names the configuration that was computed: 1 + 2e-10 in 10 digits would be
     the singular corner 1.0, which ``trace`` refuses.  Only ``outputs`` is rounded."""
-    trace = ["trace", "--n", "5", "--b", "2", "--format", fmt, "--btilde"]
+    trace = ["trace", "--n", "5", "--b", "2", "--btilde"]
     code, out, _ = run_cli(capsys, *trace, "1.0000000002")
     assert code == 0 and run_cli(capsys, *trace, "1.0")[0] == 3
-    if fmt == "json":
-        rec = strict_json(out)
-        assert (rec["inputs"]["btilde"], rec["outputs"]["trace"]) == (1.0000000002, 1.249999897e10)
-    else:
-        lines = out.splitlines()
-        assert "inputs.btilde,1.0000000002" in lines and "outputs.trace,1.249999897e+10" in lines
+    rec = strict_json(out)
+    assert (rec["inputs"]["btilde"], rec["outputs"]["trace"]) == (1.0000000002, 1.249999897e10)
 
 
-#: A call of each subcommand, and one alternate value for each option it parses other than
-#: --format and --out.  argparse lets the alternate, given last, override the call's value.
+#: A call of each subcommand, and one alternate value for each option it parses.  argparse
+#: lets the alternate, given last, override the call's value.
 _MATRIX = ["--n", "8", "--b", "2", "--btilde", "3"]
 OPTION_CALLS = {
     "entry": (["--n", "8", "--b", "2", "--btilde", "3", "--i", "2", "--j", "3"],
@@ -191,7 +199,7 @@ def test_option_table_covers_the_parser():
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     parsed = {command: sorted(action.dest for action in sub._actions
-                              if action.dest not in ("help", "format", "out"))
+                              if action.dest != "help")
               for command, sub in commands.items()}
     assert parsed == {command: sorted(alternates) for command, (_, alternates) in OPTION_CALLS.items()}
 
@@ -241,43 +249,6 @@ def test_singular_delta_keeps_its_signed_zero(capsys, b, btilde, delta):
     is +0.0, and the other gap gives the sign.  The b = +2 frame would flip two of these."""
     code, out, _ = run_cli(capsys, "singular", "--n", "5", "--b", b, "--btilde", btilde)
     assert code == 0 and f'"delta": {delta},' in out
-
-
-class TestFormatsAndDeterminism:
-    def test_csv_format(self, capsys):
-        _, out, _ = run_cli(capsys, "trace", "--n", "4", "--b", "2", "--btilde", "2",
-                            "--format", "csv")
-        assert out.splitlines()[0] == "field,value"
-        assert "outputs.trace,4" in out
-
-    def test_csv_matrix_rows(self, capsys):
-        _, out, _ = run_cli(capsys, "signs", "--n", "5", "--b", "2", "--btilde", "-1",
-                            "--format", "csv")
-        pattern_lines = [line for line in out.splitlines() if line.startswith("outputs.pattern")]
-        assert len(pattern_lines) == 5
-        assert pattern_lines[0] == "outputs.pattern,-1,-1,-1,-1,1"
-
-    @pytest.mark.parametrize("b, btilde, branch", [
-        (2, "3", "btilde_gt_1"), (2, "0.95", "nm2_le_btilde_lt_1"),
-        (2, "0.875", "nm3_lt_btilde_lt_nm2"), (2, "0.5", "0_lt_btilde_lt_nm3"),
-        (2, "-1", "btilde_le_0"), (-2, "-3", "btilde_lt_m1"), (-2, "-0.95", "m1_lt_btilde_le_mnm2"),
-        (-2, "-0.875", "mnm2_lt_btilde_lt_mnm3"), (-2, "-0.5", "mnm3_lt_btilde_lt_0"),
-        (-2, "1", "btilde_ge_0"),
-    ])
-    def test_csv_dict_output_one_row_per_key(self, capsys, b, btilde, branch):
-        """``outputs.terms`` is a dict: one ``outputs.terms.<name>`` row per term, none if empty."""
-        code, out, _ = run_cli(capsys, "bounds", "--n", "13", "--b", str(b), "--btilde", btilde,
-                               "--format", "csv")
-        lines = out.splitlines()
-        assert code == 0 and f"branch,{branch}" in lines
-        assert all(line.count(",") == 1 for line in lines)
-        terms = upper_bound(MatrixConfig(13, b, float(btilde))).terms
-        assert [line for line in lines if line.startswith("outputs.terms")] == [
-            f"outputs.terms.{name},{value:.10g}" for name, value in terms.items()]
-
-    def test_ten_significant_digits(self, capsys):
-        _, out, _ = run_cli(capsys, "bounds", "--n", "10", "--b", "2", "--btilde", "5.93")
-        assert "11.13919878" in out
 
 
 _MAT = ["--b", "2", "--btilde", "-3"]
@@ -354,7 +325,6 @@ class TestExitCodes:
         ["solve-bvp", "--n", "8", "--b", "-2", "--btilde", "2.3e307", "--length", "1", "--k", "1",
          "--nonlinearity", "fisher"],
         ["norm", "--n", "8", "--b", "2", "--btilde", "1e160"],
-        ["norm", "--n", "8", "--b", "2", "--btilde", "1e160", "--format", "csv"],
         ["bounds", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["invert", "--n", "8", "--b", "2", "--btilde", "1e160"],
         ["entry", "--n", "8", "--b", "2", "--btilde", "2", "--i", "2", "--j", "3", "--chat", "0"],
@@ -420,14 +390,22 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
         assert proc.returncode == code and len(proc.stderr.splitlines()) == (code != 0)
 
-    def test_unwritable_out_is_2(self, capsys, tmp_path):
-        path = str(tmp_path / "missing" / "x.json")
+    def test_failed_stdout_write_is_2(self, capsys, monkeypatch):
+        """A stdout that refuses the report, as a full disk does, exits 2 with one error line."""
+        full = OSError(errno.ENOSPC, "No space left on device")
+
+        class FullStdout:
+            def write(self, text):
+                raise full
+
         for argv in (["trace", "--n", "8", "--b", "2", "--btilde", "3"], ["reproduce", "table5"]):
-            code, out, err = run_cli(capsys, *argv, "--out", path)
-            assert (code, out) == (2, "")
+            with monkeypatch.context() as mp:
+                mp.setattr(sys, "stdout", FullStdout())
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "") and len(err.splitlines()) == 1
             assert strict_json(err) == {"command": argv[0], "error": {
-                "type": "FileNotFoundError",
-                "message": f"[Errno 2] No such file or directory: '{path}'"}}
+                "type": "OSError", "message": f"[Errno {errno.ENOSPC}] No space left on device"}}
 
     def test_refused_allocation_is_2(self, capsys, monkeypatch):
         def refuse(cfg, i):
@@ -521,18 +499,21 @@ class TestExitCodes:
             main(["trace", "--n", "4", "--b", "7", "--btilde", "2"])
         assert err.value.code == 2
 
-    def test_unknown_table_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", OPTION_CALLS)
+    def test_removed_output_options_are_usage_errors(self, capsys, command):
+        """Each subcommand prints one encoding to stdout: ``--format`` and ``--out`` are
+        unknown options, refused with argparse's usage text before any work."""
+        for option in (["--format", "json"], ["--out", "x"]):
+            with pytest.raises(SystemExit) as err:
+                main([command, *OPTION_CALLS[command][0], *option])
+            captured = capsys.readouterr()
+            assert err.value.code == 2 and captured.out == ""
+            assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+
+    def test_unknown_table_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["reproduce", "table9"])
         assert err.value.code == 2
-        # reproduce prints CSV only: --format is a usage error, --out is kept.
-        for fmt in ("json", "csv"):
-            with pytest.raises(SystemExit) as err:
-                main(["reproduce", "fig2_table", "--format", fmt])
-            assert err.value.code == 2
-        path = tmp_path / "fig2.csv"
-        _, out, _ = run_cli(capsys, "reproduce", "fig2_table", "--out", str(path))
-        assert path.read_text() == out and out.startswith("n,")
 
 
 def test_cli_is_thin_wrapper(capsys):
@@ -603,8 +584,8 @@ class TestChat:
         ["solve-bvp", "--length", "1", "--k", "1", "--nonlinearity", "fisher"],
     ], ids=lambda argv: argv[0])
     def test_error_precedence(self, capsys, argv):
-        """A bad corner comes before a singular corner, and a singular corner before a bad
-        c_hat: the config is built, and so checked, first."""
+        """A bad corner comes before a bad c_hat: the config is built, and so checked, first.
+        ``test_a_singular_corner_is_3_before_a_second_fault`` puts a singular corner first."""
         def error(bt, c_hat):
             code, out, err = run_cli(capsys, argv[0], "--n", "8", "--b", "2", "--btilde", bt,
                                      *argv[1:], f"--chat={c_hat}")
@@ -613,8 +594,6 @@ class TestChat:
 
         code, message = error("1e160", "0")
         assert code == 2 and message.startswith("corner value must lie in")
-        code, message = error("1", "0")
-        assert code == 3 and "singular point" in message
         code, message = error("3", "0")
         assert code == 2 and message.startswith("scaling |c_hat| must lie in")
 
@@ -633,13 +612,13 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-#: Calls that build no array, with their exit codes: both formats, both signs, a singular
-#: configuration (3) and a row index out of range (2).
+#: Calls that build no array, with their exit codes: both signs, a singular configuration (3)
+#: and a row index out of range (2).
 NUMPY_FREE_CALLS = [
     pytest.param(["entry", "--n", "40", "--b", "2", "--btilde", "0.95", "--i", "3", "--j", "7"], 0,
                  id="entry"),
     pytest.param(["entry", "--n", "40", "--b", "-2", "--btilde", "-2.5", "--i", "40", "--j", "1",
-                  "--chat", "2.5", "--format", "csv"], 0, id="entry-csv"),
+                  "--chat", "2.5"], 0, id="entry-chat"),
     pytest.param(["trace", "--n", "40", "--b", "-2", "--btilde", "3"], 0, id="trace"),
     pytest.param(["singular", "--n", "40", "--b", "2", "--btilde", "1"], 0, id="singular"),
     pytest.param(["rowsum", "--n", "40", "--b", "-2", "--btilde", "0.95", "--i", "17"], 0,
@@ -648,17 +627,14 @@ NUMPY_FREE_CALLS = [
     pytest.param(["rowsum", "--n", "40", "--b", "2", "--btilde", "3", "--i", "41"], 2,
                  id="row-out-of-range"),
     pytest.param(["norm", "--n", "40", "--b", "2", "--btilde", "0.95"], 0, id="norm"),
-    pytest.param(["bounds", "--n", "40", "--b", "-2", "--btilde", "-0.3", "--format", "csv"], 0,
-                 id="bounds-csv"),
+    pytest.param(["bounds", "--n", "40", "--b", "-2", "--btilde", "-0.3"], 0, id="bounds"),
     pytest.param(["signs", "--n", "40", "--b", "2", "--btilde", "-0.3"], 0, id="signs"),
-    pytest.param(["signs", "--n", "40", "--b", "2", "--btilde", "0", "--format", "csv"], 0,
-                 id="signs-zero-csv"),
+    pytest.param(["signs", "--n", "40", "--b", "2", "--btilde", "0"], 0, id="signs-zero"),
     pytest.param(["rowsum", "--n", "40", "--b", "2", "--btilde", "0.95"], 0, id="rowsum"),
-    pytest.param(["rowsum", "--n", "40", "--b", "-2", "--btilde", "3", "--format", "csv"], 0,
-                 id="rowsum-csv"),
+    pytest.param(["rowsum", "--n", "40", "--b", "-2", "--btilde", "3"], 0, id="rowsum-negative-b"),
     pytest.param(["invert", "--n", "40", "--b", "2", "--btilde", "0.95"], 0, id="invert"),
-    pytest.param(["invert", "--n", "40", "--b", "-2", "--btilde", "-0.3", "--chat", "2.5",
-                  "--format", "csv"], 0, id="invert-csv"),
+    pytest.param(["invert", "--n", "40", "--b", "-2", "--btilde", "-0.3", "--chat", "2.5"], 0,
+                 id="invert-chat"),
 ]
 
 
@@ -724,7 +700,7 @@ class TestImportBoundary:
         assert (run["code"], run["loaded"]) == (code, [])
         if code == 0:
             out = run["stdout"]
-            assert f'"command": "{argv[0]}"' in out or f"command,{argv[0]}" in out
+            assert f'"command": "{argv[0]}"' in out
 
     @pytest.mark.parametrize("table_id", ["fig2_table", "fig3_table"])
     def test_norm_table_does_not_load_numpy(self, fresh_runs, table_id):

@@ -22,8 +22,8 @@ from helpers import run_fresh
 GOLDEN = Path(__file__).with_name("data") / "golden_cli.json"
 
 _MATRIX_COMMANDS = ("entry", "invert", "trace", "rowsum", "norm", "bounds", "singular")
-#: (b, n, format) per call of each matrix subcommand; the corner value cycles.
-_VARIANTS = ((2, 8, "json"), (-2, 13, "json"), (2, 13, "csv"), (-2, 8, "csv"))
+#: (b, n) per call of each matrix subcommand; the corner value cycles.
+_VARIANTS = ((2, 8), (-2, 13), (2, 13), (-2, 8))
 _BTILDES = ("3", "0.95", "0.0", "-0.0", "-2.5")
 
 
@@ -31,30 +31,29 @@ def _calls() -> list[list[str]]:
     calls = []
     extra = {"entry": ["--i", "3", "--j", "2"]}
     for c, command in enumerate(_MATRIX_COMMANDS):
-        for v, (b, n, fmt) in enumerate(_VARIANTS):
+        for v, (b, n) in enumerate(_VARIANTS):
             bt = _BTILDES[(c + v) % len(_BTILDES)]
             calls.append([command, "--n", str(n), "--b", str(b), "--btilde", bt,
-                          "--format", fmt, *extra.get(command, [])])
-    for b, n, bt, fmt in ((2, 8, "0.0", "json"), (2, 13, "-0.0", "csv"), (2, 13, "-2.5", "json"),
-                          (-2, 8, "-2.5", "json"), (2, 8, "3", "csv")):
-        calls.append(["signs", "--n", str(n), "--b", str(b), "--btilde", bt, "--format", fmt])
-    for b, n, bt, length, k, fmt in ((2, 8, "2", "0.5", "1", "json"), (-2, 13, "-2", "0.05", "81", "csv"),
-                                     (2, 13, "0.95", "0.5", "4", "csv"), (-2, 8, "-3", "0.05", "9", "json")):
+                          *extra.get(command, [])])
+    for b, n, bt in ((2, 8, "0.0"), (2, 13, "-0.0"), (2, 13, "-2.5"), (-2, 8, "-2.5"), (2, 8, "3")):
+        calls.append(["signs", "--n", str(n), "--b", str(b), "--btilde", bt])
+    for b, n, bt, length, k in ((2, 8, "2", "0.5", "1"), (-2, 13, "-2", "0.05", "81"),
+                                (2, 13, "0.95", "0.5", "4"), (-2, 8, "-3", "0.05", "9")):
         calls.append(["solve-bvp", "--n", str(n), "--b", str(b), "--btilde", bt, "--length", length,
-                      "--k", k, "--nonlinearity", "fisher", "--format", fmt])
+                      "--k", k, "--nonlinearity", "fisher"])
     calls += [
         ["entry", "--n", "8", "--b", "2", "--btilde", "0.95", "--i", "2", "--j", "7", "--chat", "2.5"],
-        ["entry", "--n", "13", "--b", "-2", "--btilde", "-2.5", "--i", "13", "--j", "4", "--chat", "2.5",
-         "--format", "csv"],
+        ["entry", "--n", "13", "--b", "-2", "--btilde", "-2.5", "--i", "13", "--j", "4",
+         "--chat", "2.5"],
         ["entry", "--n", "8", "--b", "-2", "--btilde", "-2", "--i", "5", "--j", "2"],
-        ["entry", "--n", "13", "--b", "2", "--btilde", "2", "--i", "1", "--j", "13", "--format", "csv"],
+        ["entry", "--n", "13", "--b", "2", "--btilde", "2", "--i", "1", "--j", "13"],
         ["invert", "--n", "8", "--b", "-2", "--btilde", "0.95", "--chat", "2.5"],
         ["rowsum", "--n", "13", "--b", "2", "--btilde", "0.95", "--i", "5"],
-        ["rowsum", "--n", "8", "--b", "-2", "--btilde", "-0.0", "--i", "8", "--format", "csv"],
+        ["rowsum", "--n", "8", "--b", "-2", "--btilde", "-0.0", "--i", "8"],
         ["rowsum", "--n", "8", "--b", "-2", "--btilde", "3"],
-        ["bounds", "--n", "13", "--b", "2", "--btilde", "0.7", "--format", "csv"],
+        ["bounds", "--n", "13", "--b", "2", "--btilde", "0.7"],
         ["norm", "--n", "8", "--b", "2", "--btilde", "1"],
-        ["trace", "--n", "13", "--b", "-2", "--btilde", "-1", "--format", "csv"],
+        ["trace", "--n", "13", "--b", "-2", "--btilde", "-1"],
         ["entry", "--n", "8", "--b", "2", "--btilde", "3", "--i", "9", "--j", "1"],
         ["invert", "--n", "100000", "--b", "2", "--btilde", "3"],
         ["solve-bvp", "--n", "10", "--b", "2", "--btilde", "2", "--length", "1", "--k", "3",
