@@ -1,12 +1,12 @@
 """Exact scalar summaries and norm bounds for the inverse.
 
-Row sums and the trace have closed forms; the exact infinity norm is one O(n) pass in Python
-integers, rounded once, in O(1) memory.  The sign pattern is n row tuples, at most five of them
-distinct objects, in O(n) memory; only ``rowsums`` builds a numpy array.  The lower / upper
-bounds implement the published formulas with explicit branch selection on b_tilde.  The trace,
-the norm and the bounds for b = -2 are the b = +2 ones at the mirrored corner (the config's
-b = +2 frame); the b = -2 row-sum closed forms, branch names and sign-pattern statement are
-kept as stated.
+Row sums and the trace have closed forms; the exact infinity norm is one pass over the top
+ceil(n/2) rows in Python integers, with the generator total in closed form, rounded once, in
+O(1) memory.  The sign pattern is n row tuples, at most five of them distinct objects, in O(n)
+memory; only ``rowsums`` builds a numpy array.  The lower / upper bounds implement the published
+formulas with explicit branch selection on b_tilde.  The trace, the norm and the bounds for
+b = -2 are the b = +2 ones at the mirrored corner (the config's b = +2 frame); the b = -2
+row-sum closed forms, branch names and sign-pattern statement are kept as stated.
 """
 
 from __future__ import annotations
@@ -117,15 +117,20 @@ def exact_infinity_norm(cfg: MatrixConfig) -> float:
 
     In the b = +2 frame (|A_{-2}(b_tilde)^{-1}| is |A_{+2}(-b_tilde)^{-1}| entrywise), b_tilde =
     num/den makes U_j = den u_j = j a - c and den^2 D = a ((n+1) den + c (n-1)) integers, and so
-    row i's scaled sum |U_{n+1-i}| sum_{j<=i} |U_j| + |U_i| sum_{j<=n-i} |U_j|.  One O(n) pass over
-    the top ceil(n/2) rows (the inverse is centrosymmetric) carries both sums; the cap bounds it,
-    and int / int division rounds the max correctly.
+    row i's scaled sum |U_{n+1-i}| sum_{j<=i} |U_j| + |U_i| sum_{j<=n-i} |U_j|.  With p, q = (a, c)
+    if a > 0 else (-a, -c) (a != 0: b_tilde = 1 is singular), |U_j| = |j p - q| and j p - q rises
+    with j: it is <= 0 up to k = min(max(q // p, 0), n) and > 0 after.  So sum_{j<=n} |U_j| is two
+    arithmetic series, k q - p k(k+1)/2 + p (n(n+1) - k(k+1))/2 - q (n - k) = q (2k - n) +
+    p (n(n+1)/2 - k(k+1)).  One pass over the top ceil(n/2) rows (the inverse is centrosymmetric)
+    carries both sums from it; the cap bounds the pass, and int / int division rounds correctly.
     """
     require_dense_order(cfg.n)
     n = cfg.n
     num, den = cfg._bt.as_integer_ratio()
     a, c = num - den, num - 2 * den
-    rising, falling, best = 0, sum(abs(j * a - c) for j in range(1, n + 1)), 0
+    p, q = (a, c) if a > 0 else (-a, -c)
+    k = min(max(q // p, 0), n)
+    rising, falling, best = 0, q * (2 * k - n) + p * (n * (n + 1) // 2 - k * (k + 1)), 0
     for i in range(1, (n + 1) // 2 + 1):
         u, v = abs(i * a - c), abs((n + 1 - i) * a - c)  # |U_i|, |U_{n+1-i}|
         rising, falling = rising + u, falling - v

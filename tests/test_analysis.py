@@ -230,10 +230,19 @@ class TestBandedNorm:
     norm over every row (``helpers.exact_grid_norm``), and within ``helpers.grid_norm_rtol``
     of the float grid sum (``helpers.grid_norm``)."""
 
+    #: Corners of the closed-form generator total that ``regime_corners`` misses: integers of
+    #: some 2,000 bits (2**400, 2**-1074, 1e-300), an exactly zero U_5 (0.75) or U_9 (0.875), and
+    #: the sign change clamped to n (1 - 2**-40); taken at these orders, both signs.
+    EDGE_CORNERS = (2.0**400, 2.0**-1074, 1e-300, 0.75, 0.875, 1 - 2.0**-40)
+    EDGE_N = (4, 5, 9, 17, 40)
+
     @pytest.mark.parametrize("n", [*range(4, 81), 127, 128, 129, 191, 192, 193, 257, 1000])
     def test_bitwise_equal_to_grid_norm(self, n):
+        edges = [s * bt for bt in self.EDGE_CORNERS for s in (1, -1)] if n in self.EDGE_N else []
         for b in (2, -2):
-            for bt in regime_corners(n, b):
+            for bt in regime_corners(n, b) + edges:
+                if singularity_report(n, b, bt)["singular"]:  # 0.75 at n = 9, 0.875 at n = 17
+                    continue
                 cfg = MatrixConfig(n, b, bt)
                 norm = exact_infinity_norm(cfg)
                 assert norm == exact_grid_norm(cfg), (b, bt)

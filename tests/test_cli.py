@@ -76,14 +76,6 @@ class TestReports:
                                 "--i", i, "--j", j)
             assert json.loads(out)["outputs"]["value"] == pytest.approx(value)
 
-    def test_toeplitz_option_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["entry", "--n", "5", "--b", "2", "--btilde", "2", "--i", "5", "--j", "1",
-                  "--toeplitz"])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--toeplitz" in captured.err
-
     def test_invert_matches_library(self, capsys):
         _, out, _ = run_cli(capsys, "invert", "--n", "5", "--b", "2", "--btilde", "3")
         rec = json.loads(out)
@@ -507,8 +499,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", OPTION_CALLS)
     def test_removed_output_options_are_usage_errors(self, capsys, command):
         """Each subcommand prints one encoding to stdout: ``--format`` and ``--out`` are
-        unknown options, refused with argparse's usage text before any work."""
-        for option in (["--format", "json"], ["--out", "x"]):
+        unknown options, refused with argparse's usage text before any work, and so is
+        ``--toeplitz`` (``--btilde`` equal to ``--b`` gives the Toeplitz case)."""
+        for option in (["--format", "json"], ["--out", "x"], ["--toeplitz"]):
             with pytest.raises(SystemExit) as err:
                 main([command, *OPTION_CALLS[command][0], *option])
             captured = capsys.readouterr()
