@@ -23,8 +23,7 @@ _LAZY = {name: module for module, names in (
     ("bvp", ("BvpProblem", "BvpResult", "expected_rate", "solve_fixed_point")),
     ("config", ("MatrixConfig", "singularity_report")),
     ("core", ("InverseMatrix", "assemble_inverse", "near_toeplitz_inverse_entry")),
-    ("errors", ("DenseSizeError", "DivergenceError", "PivotBreakdownError", "SingularMatrixError",
-                "UnsupportedCaseError")),
+    ("errors", ("DenseSizeError", "DivergenceError", "SingularMatrixError", "UnsupportedCaseError")),
     ("oracle", ("build_matrix", "reference_inverse", "reference_norm", "reference_rowsums",
                 "reference_trace")),
 ) for name in names}

@@ -5,8 +5,8 @@ matrix with constant diagonal ``b`` (|b| = 2), off-diagonals -1, and both
 corner diagonal entries replaced by ``b_tilde``; (n, b, b_tilde) fix it.  One validator,
 ``_triple``, checks a triple and measures its distance to the two singular corners.  A
 ``MatrixConfig`` refuses a singular triple and derives its b = +2 frame (the mirrored corner,
-r, 1 + r, the generators' denominator D and the two corner gaps) once, at construction, and the
-closed forms read those fields; ``singularity_report`` answers for any valid triple.  The
+r, 1 + r, the generators' denominator D) once; the closed forms read it, and the O(n) solve
+forms the corner gaps from it.  ``singularity_report`` answers for any valid triple.  The
 scaling ``c_hat`` of -c_hat A belongs to the BVP and to the CLI's ``entry`` and ``invert``,
 which check it with ``_c_hat``.
 """
@@ -100,15 +100,14 @@ class MatrixConfig:
     flip once at the output when ``_flip`` (b = -2): entry (i, j) by -(-1)^(i+j), the
     trace by negation.  The closed forms of ``core``, ``bvp``, the trace and the bounds read
     b only through this frame; in ``analysis`` only the b = -2 row sums (``_rowsum``) and the
-    b = +2-only statements (``rowsum_bounds``, ``sign_pattern``) read ``.b``.  ``_gaps`` =
-    b_tilde minus the two singular corners, in this frame (negate both for b = +2 when
-    ``_flip``: exact).
+    b = +2-only statements (``rowsum_bounds``, ``sign_pattern``) read ``.b``.  The corner gaps
+    _bt - 1 and _bt - (n-3)/(n-1) are not stored: ``core._inverse_solver`` forms them.
     """
 
-    __slots__ = ("n", "b", "b_tilde", "_bt", "_flip", "_r", "_r1", "_d", "_gaps")
+    __slots__ = ("n", "b", "b_tilde", "_bt", "_flip", "_r", "_r1", "_d")
 
     def __init__(self, n: int, b: int, b_tilde: float):
-        order, b, corner, (s1, s2), gaps, distance = _triple(n, b, b_tilde)
+        order, b, corner, (s1, s2), _, distance = _triple(n, b, b_tilde)
         if distance <= SINGULARITY_TOL:
             raise SingularMatrixError(
                 f"corner value {corner} is within {SINGULARITY_TOL} of a singular point "
@@ -125,7 +124,6 @@ class MatrixConfig:
         store(self, "_r", r)
         store(self, "_r1", 1.0 + r)
         store(self, "_d", (1.0 + r) * (order + 1 + r * (order - 1)))
-        store(self, "_gaps", gaps)
 
     def _fields(self) -> tuple:
         return self.n, self.b, self.b_tilde

@@ -75,11 +75,11 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     z_i = i * sum_{k>=i} w_k / (k (k+1)).  The corners are removed by
     y = z - c1 (n+1-i)/(n+1) - c2 i/(n+1), where (c1, c2) solves the symmetric
     2x2 capacitance system with m11 = 1 + beta n/(n+1), m12 = beta/(n+1),
-    through its eigenvalues 1 + beta and 1 + beta (n-1)/(n+1), read from the
-    config's corner gaps.  Their product is the factored determinant delta, which
-    vanishes only at the two singular corners that no config admits.  b = -2 goes
-    through the config's b = +2 frame (gaps negated), with -S and ``scale``
-    folded into the weights before and S into those after.
+    through its eigenvalues 1 + beta and 1 + beta (n-1)/(n+1), formed here from
+    the corner gaps b_tilde - 1 and b_tilde - (n-3)/(n-1).  Their product is the
+    factored determinant delta, which vanishes only at the two singular corners
+    that no config admits.  b = -2 goes through the config's b = +2 frame, with
+    -S and ``scale`` folded into the weights before and S into those after.
 
     This is the LU order, so the solve is backward stable: the residual
     ||A y - x|| stays within a few eps of ||A|| ||y|| + ||x||, also near the
@@ -90,7 +90,7 @@ def _inverse_solver(cfg: MatrixConfig, scale: float):
     import numpy as np
 
     n, beta, flip = cfg.n, cfg._r, cfg._flip
-    g1, g2 = (-cfg._gaps[0], -cfg._gaps[1]) if flip else cfg._gaps
+    g1, g2 = cfg._bt - 1.0, cfg._bt - (n - 3) / (n - 1)
     # beta over the eigenvalues of the capacitance matrix, on the eigenvectors
     # (1, 1) and (1, -1); each eigenvalue is a multiple of one corner gap.
     q_sum = beta / g1

@@ -2,12 +2,9 @@
 
 
 class SingularMatrixError(ValueError):
-    """The corner value lands on (or within tolerance of) a singular corner.  ``MatrixConfig``
-    raises it when it is built, so no config is singular."""
-
-
-class PivotBreakdownError(SingularMatrixError):
-    """Dense elimination hit a pivot below threshold; the input is numerically singular."""
+    """The corner value lands on (or within tolerance of) a singular corner: ``MatrixConfig``
+    raises it when it is built, so no config is singular.  The dense oracle raises it too, when
+    a pivot falls below its threshold: the input matrix is numerically singular."""
 
 
 class DenseSizeError(ValueError):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import MatrixConfig, require_dense_order
 from .core import ORACLE, InverseMatrix
-from .errors import PivotBreakdownError
+from .errors import SingularMatrixError
 
 #: A pivot below this multiple of the max-abs entry declares breakdown.
 PIVOT_RTOL = 1e-13
@@ -50,7 +50,7 @@ def _as_array(m: np.ndarray) -> np.ndarray:
 def reference_inverse(m: np.ndarray) -> InverseMatrix:
     """Invert by Gauss-Jordan elimination with partial pivoting, in place.
 
-    Raises PivotBreakdownError when the selected pivot magnitude falls to
+    Raises SingularMatrixError when the selected pivot magnitude falls to
     PIVOT_RTOL times the max-abs entry of the input, which flags singular and
     near-singular matrices, and ValueError for empty or non-finite input.
 
@@ -66,7 +66,7 @@ def reference_inverse(m: np.ndarray) -> InverseMatrix:
     n = a.shape[0]
     scale = np.max(np.abs(a))
     if scale == 0.0:
-        raise PivotBreakdownError("zero matrix")
+        raise SingularMatrixError("zero matrix")
     zeros = np.zeros(n)
     update = np.empty((n, n))
     swaps = []
@@ -74,7 +74,7 @@ def reference_inverse(m: np.ndarray) -> InverseMatrix:
         p = col + int(np.abs(a[col:, col]).argmax())
         pivot = a[p, col]
         if abs(pivot) <= PIVOT_RTOL * scale:
-            raise PivotBreakdownError(
+            raise SingularMatrixError(
                 f"pivot {pivot:.3e} at column {col + 1} below threshold "
                 f"{PIVOT_RTOL * scale:.3e}"
             )

@@ -17,7 +17,7 @@ from neartoeplitz import (
     BvpResult,
     DivergenceError,
     MatrixConfig,
-    PivotBreakdownError,
+    SingularMatrixError,
     assemble_inverse,
     build_matrix,
     exact_infinity_norm,
@@ -374,13 +374,13 @@ def masked_gauss_jordan(m):
     n = a.shape[0]
     scale = np.max(np.abs(a))
     if scale == 0.0:
-        raise PivotBreakdownError("zero matrix")
+        raise SingularMatrixError("zero matrix")
     aug = np.hstack([a, np.eye(n)])
     for col in range(n):
         p = col + int(np.argmax(np.abs(aug[col:, col])))
         pivot = aug[p, col]
         if abs(pivot) <= PIVOT_RTOL * scale:
-            raise PivotBreakdownError(
+            raise SingularMatrixError(
                 f"pivot {pivot:.3e} at column {col + 1} below threshold "
                 f"{PIVOT_RTOL * scale:.3e}"
             )

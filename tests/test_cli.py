@@ -35,13 +35,6 @@ def strict_json(text):
 
 
 class TestReports:
-    def test_bounds_published_row(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "--n", "10", "--b", "2", "--btilde", "5.93")
-        rec = json.loads(out)
-        assert code == 0
-        assert (rec["command"], rec["branch"]) == ("bounds", "btilde_gt_1")
-        assert rec["outputs"]["upper"] == pytest.approx(11.139, abs=5e-4)
-
     @pytest.mark.parametrize("b, btilde, branch", [
         (2, "3", "btilde_gt_1"), (2, "0.95", "nm2_le_btilde_lt_1"),
         (2, "0.875", "nm3_lt_btilde_lt_nm2"), (2, "0.5", "0_lt_btilde_lt_nm3"),
@@ -244,8 +237,11 @@ def test_singular_delta_keeps_its_signed_zero(capsys, b, btilde, delta):
 
 class TestFormatsAndDeterminism:
     def test_ten_significant_digits(self, capsys):
-        _, out, _ = run_cli(capsys, "bounds", "--n", "10", "--b", "2", "--btilde", "5.93")
-        assert '"upper": 11.13919878,' in out
+        """The published row n = 10, b_tilde = 5.93 (upper bound 11.139) at 10 digits."""
+        code, out, _ = run_cli(capsys, "bounds", "--n", "10", "--b", "2", "--btilde", "5.93")
+        assert code == 0 and '"upper": 11.13919878,' in out
+        rec = json.loads(out)
+        assert (rec["command"], rec["branch"]) == ("bounds", "btilde_gt_1")
 
 
 _MAT = ["--b", "2", "--btilde", "-3"]

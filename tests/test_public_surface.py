@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "BvpProblem", "BvpResult", "DenseSizeError", "DivergenceError",
-    "InverseMatrix", "MatrixConfig", "PivotBreakdownError", "SingularMatrixError",
-    "UnsupportedCaseError", "UpperBound", "assemble_inverse", "build_matrix",
+    "InverseMatrix", "MatrixConfig", "SingularMatrixError", "UnsupportedCaseError",
+    "UpperBound", "assemble_inverse", "build_matrix",
     "exact_infinity_norm", "expected_rate", "lower_bound",
     "near_toeplitz_inverse_entry", "reference_inverse", "reference_norm", "reference_rowsums",
     "reference_trace", "rowsum", "rowsums", "sign_pattern", "singularity_report",
@@ -33,7 +33,6 @@ SIGNATURES = {
     "DivergenceError": ("message", "partial"),
     "InverseMatrix": ("entries", "source"),
     "MatrixConfig": ("n", "b", "b_tilde"),
-    "PivotBreakdownError": None,
     "SingularMatrixError": None,
     "UnsupportedCaseError": None,
     "UpperBound": ("value", "branch", "terms"),
@@ -110,7 +109,7 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from neartoeplitz import *", namespace)
     del namespace["__builtins__"]
-    assert len(namespace) == 27 and sorted(namespace) == PUBLIC
+    assert len(namespace) == 26 and sorted(namespace) == PUBLIC
     assert all(namespace[name] is getattr(neartoeplitz, name) for name in PUBLIC)
 
 
