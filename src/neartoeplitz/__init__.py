@@ -21,8 +21,8 @@ _LAZY = {name: module for module, names in (
     ("analysis", ("UpperBound", "exact_infinity_norm", "lower_bound", "rowsum", "rowsums",
                   "sign_pattern", "trace_inverse", "upper_bound")),
     ("bvp", ("BvpProblem", "BvpResult", "expected_rate", "solve_fixed_point")),
-    ("config", ("MatrixConfig", "singularity_report")),
-    ("core", ("InverseMatrix", "assemble_inverse", "near_toeplitz_inverse_entry")),
+    ("config", ("InverseMatrix", "MatrixConfig", "singularity_report")),
+    ("core", ("assemble_inverse", "near_toeplitz_inverse_entry")),
     ("errors", ("DenseSizeError", "DivergenceError", "SingularMatrixError", "UnsupportedCaseError")),
     ("oracle", ("build_matrix", "reference_inverse", "reference_norm", "reference_rowsums",
                 "reference_trace")),

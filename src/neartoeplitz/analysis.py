@@ -14,8 +14,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import MatrixConfig, require_dense_order, require_vector_order
-from .core import _parity
+from .config import MatrixConfig, _parity, require_dense_order, require_vector_order
 from .errors import UnsupportedCaseError
 
 if TYPE_CHECKING:

@@ -6,12 +6,12 @@ sum for every row next to ``rowsum_bounds``); only ``solve-bvp`` and ``reproduce
 ``table6`` load numpy.  Each emits a deterministic report: JSON (``reproduce``: CSV); computed
 floats are printed with 10 significant digits, echoed inputs as parsed.  Exit codes: 0 success,
 2 usage or invalid argument (also a non-finite result, a refused allocation, a report of more
-than ``_MAX_PRINTED`` numbers, refused before the work, or a failed write to stdout), 3 singular
-configuration, 4 diverging iteration.  The triple is checked first, when the config is built:
-its range (2), then its singularity (3); ``--chat``, the indices, the BVP options and the
-sign-pattern regime only after it.  Every failure writes one JSON error object to stderr and
-nothing to stdout, except argparse's own usage errors (an unknown, missing or malformed
-option), which exit 2 with its usage text.
+than ``_MAX_PRINTED`` numbers, refused before the work, a failed write to stdout, or numpy
+missing for a call that needs it), 3 singular configuration, 4 diverging iteration.  The triple
+is checked first, when the config is built: its range (2), then its singularity (3); ``--chat``,
+the indices, the BVP options and the sign-pattern regime only after it.  Every failure writes
+one JSON error object to stderr and nothing to stdout, except argparse's own usage errors (an
+unknown, missing or malformed option), which exit 2 with its usage text.
 Every option changes the result: only ``entry``, ``invert`` and ``solve-bvp`` take ``--chat``,
 and report for -c_hat times the matrix; ``singular`` answers at the library's one tolerance.
 """
@@ -27,7 +27,7 @@ from .analysis import (
     exact_infinity_norm, lower_bound, rowsum, rowsum_bounds, sign_pattern, trace_inverse, upper_bound,
 )
 from .config import TABLE_IDS, MatrixConfig, _c_hat, singularity_report
-from .core import CLOSED_FORM, near_toeplitz_inverse_entry
+from .core import near_toeplitz_inverse_entry
 from .errors import DenseSizeError, DivergenceError, SingularMatrixError
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def cmd_invert(args) -> str:
     _require_printable(cfg.n**2)
     span = range(1, cfg.n + 1)
     entries = [[near_toeplitz_inverse_entry(cfg, i, j) / -c_hat for j in span] for i in span]
-    return _report(args, {"n": args.n, "source": CLOSED_FORM, "entries": entries})
+    return _report(args, {"n": args.n, "source": "closed_form", "entries": entries})
 
 
 def cmd_trace(args) -> str:
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         sys.stderr.write(_error_object(args.command, exc))
         return EXIT_DIVERGED
-    except (ValueError, IndexError, OSError, MemoryError) as exc:
+    except (ValueError, IndexError, OSError, MemoryError, ModuleNotFoundError) as exc:
         sys.stderr.write(_error_object(args.command, exc))
         return EXIT_USAGE
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Matrix configuration, carrying its b = +2 frame; singularity detection.
+"""Matrix configuration, carrying its b = +2 frame; singularity detection; what modules share.
 
 The library works on the normalized operator: an n x n symmetric tridiagonal
 matrix with constant diagonal ``b`` (|b| = 2), off-diagonals -1, and both
@@ -8,15 +8,21 @@ corner diagonal entries replaced by ``b_tilde``; (n, b, b_tilde) fix it.  One va
 r, 1 + r, the generators' denominator D) once; the closed forms read it, and the O(n) solve
 forms the corner gaps from it.  ``singularity_report`` answers for any valid triple.  The
 scaling ``c_hat`` of -c_hat A belongs to the BVP and to the CLI's ``entry`` and ``invert``,
-which check it with ``_c_hat``.
+which check it with ``_c_hat``.  ``core``, ``analysis`` and ``oracle`` share this module and
+``errors`` only: here are also the size caps, the frame's parity sign ``_parity`` and the type
+of both dense inverses, ``InverseMatrix``, so the oracle loads no closed-form code.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DenseSizeError, SingularMatrixError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Half-width of the singular neighborhoods on the b_tilde axis.
 SINGULARITY_TOL = 1e-10
@@ -36,6 +42,18 @@ _MAX_SCALE = 2.0**400
 
 #: The published tables that ``reproduce`` recomputes (``tables.reproduce``).
 TABLE_IDS = ("fig2_table", "fig3_table", "table5", "table6")
+
+
+class InverseMatrix(NamedTuple):
+    """The n x n inverse that ``assemble_inverse`` and ``reference_inverse`` return; its one
+    field, ``entries``, is what the benchmark reads."""
+
+    entries: np.ndarray
+
+
+def _parity(i):
+    """(-1)^i at an integer or integer array i: the diagonal of S in ``MatrixConfig``'s frame."""
+    return 1.0 - 2.0 * (i & 1)
 
 
 def _real(value) -> float:

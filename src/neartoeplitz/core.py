@@ -8,35 +8,17 @@ frame that ``MatrixConfig`` carries; symmetry swaps indices, the frame flips b =
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
-from .config import MatrixConfig, require_dense_order
+from .config import InverseMatrix, MatrixConfig, _parity, require_dense_order
 
 if TYPE_CHECKING:
     import numpy as np
-
-CLOSED_FORM = "closed_form"
-ORACLE = "oracle"
 
 #: Rows per band of the grid; a band of 64 rows at n = 3000 is 1.5 MB.
 _BAND = 64
 #: Inverses of at least this many bytes (n >= 1024) get their own mapping (``_empty_square``).
 _MAPPED_BYTES = 8 << 20
-
-
-class InverseMatrix(NamedTuple):
-    """A realized n x n inverse with provenance tag ('closed_form' or 'oracle').
-
-    A ``NamedTuple``: it unpacks as (entries, source) and equals a plain tuple.
-    """
-
-    entries: np.ndarray
-    source: str
-
-
-def _parity(i):
-    """(-1)^i at an integer or integer array i: the diagonal of S in ``MatrixConfig``'s frame."""
-    return 1.0 - 2.0 * (i & 1)
 
 
 def near_toeplitz_inverse_entry(cfg: MatrixConfig, i: int, j: int) -> float:
@@ -184,4 +166,4 @@ def assemble_inverse(cfg: MatrixConfig) -> InverseMatrix:
         if signed_zeros:
             band += 0.0
     entries[h:] = entries[: n - h][::-1, ::-1]
-    return InverseMatrix(entries=entries, source=CLOSED_FORM)
+    return InverseMatrix(entries)

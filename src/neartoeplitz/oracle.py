@@ -2,17 +2,16 @@
 
 Builds the dense matrix explicitly and inverts it by Gauss-Jordan elimination with partial
 pivoting, in place (n^3 flops, n^2 memory; Press et al., *Numerical Recipes*, sec. 2.1).
-Deliberately shares only ``MatrixConfig``, the dense-order cap and the result type
-``InverseMatrix`` with the closed-form modules: no entry formulas, no tridiagonal shortcuts, no
-library inverse.
+Imports only numpy, ``config`` (``MatrixConfig``'s n, b and b_tilde, the dense-order cap and
+the result type ``InverseMatrix``) and ``errors``, so loading it loads no closed-form module:
+no entry formulas, no b = +2 frame, no tridiagonal shortcuts, no library inverse.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import MatrixConfig, require_dense_order
-from .core import ORACLE, InverseMatrix
+from .config import InverseMatrix, MatrixConfig, require_dense_order
 from .errors import SingularMatrixError
 
 #: A pivot below this multiple of the max-abs entry declares breakdown.
@@ -95,7 +94,7 @@ def reference_inverse(m: np.ndarray) -> InverseMatrix:
         zeros[col] = z
     for col, p in reversed(swaps):
         a[:, [col, p]] = a[:, [p, col]]
-    return InverseMatrix(entries=a, source=ORACLE)
+    return InverseMatrix(a)
 
 
 def reference_norm(m: np.ndarray) -> float:

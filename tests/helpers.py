@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -25,7 +24,8 @@ from neartoeplitz import (
     reference_inverse,
     singularity_report,
 )
-from neartoeplitz.core import _inverse_solver, _parity
+from neartoeplitz.config import _parity
+from neartoeplitz.core import _inverse_solver
 from neartoeplitz.oracle import PIVOT_RTOL
 
 SWEEP_N = range(4, 31)
@@ -253,46 +253,19 @@ def entry_b2_simplified(n: int, b_tilde: float, i: int, j: int) -> float:
     return (j - gamma) * ((n - i) * (1.0 - b_tilde) - 1.0) / ((n - 1) * (1.0 - b_tilde) - 2.0)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Scalars computed once per configuration.
+def capacitance(cfg: MatrixConfig) -> tuple[float, float]:
+    """The entries (m11, m12) of the 2x2 capacitance matrix of the corner update b_tilde - b.
 
-    beta       : b_tilde - b (the rank-2 corner update strength)
-    gamma      : (2 - b_tilde) / (1 - b_tilde), defined only for b = +2
-    gamma_plus : (2 + b_tilde) / (1 + b_tilde), defined only for b = -2
-    m11, m12   : entries of the 2x2 capacitance matrix of the corner update
-    delta      : its determinant m11^2 - m12^2
-    """
-
-    beta: float
-    gamma: float | None
-    gamma_plus: float | None
-    m11: float
-    m12: float
-    delta: float
-
-
-def derived_params(cfg: MatrixConfig) -> DerivedParams:
-    """Compute beta, gamma / gamma_plus, the capacitance entries, and delta.
-
-    delta is ``singularity_report``'s factored quadratic in b_tilde, which equals
-    m11^2 - m12^2 but stays accurate near the singular corners, where the
+    Its determinant m11^2 - m12^2 equals ``singularity_report``'s ``delta``, the factored
+    quadratic in b_tilde, which stays accurate near the singular corners, where the
     difference of squares cancels.
     """
-    n, b, bt = cfg.n, cfg.b, cfg.b_tilde
-    beta = bt - b
-    ratio = 2.0 * beta / b
-    m11 = 1.0 + ratio * n / (n + 1)
+    n, b = cfg.n, cfg.b
+    beta = cfg.b_tilde - b
+    m11 = 1.0 + 2.0 * beta / b * n / (n + 1)
     # (2/b)^n reduced to a parity sign for b = -2; never a floating-point power.
     corner_sign = 1.0 if (b == 2 or n % 2 == 0) else -1.0
-    m12 = beta * corner_sign / (n + 1)
-
-    gamma = (2.0 - bt) / (1.0 - bt) if (b == 2 and bt != 1.0) else None
-    gamma_plus = (2.0 + bt) / (1.0 + bt) if (b == -2 and bt != -1.0) else None
-    return DerivedParams(
-        beta=beta, gamma=gamma, gamma_plus=gamma_plus, m11=m11, m12=m12,
-        delta=singularity_report(n, b, bt)["delta"],
-    )
+    return m11, beta * corner_sign / (n + 1)
 
 
 def index_grid(cfg):
@@ -355,12 +328,6 @@ def exact_grid_norm(cfg):
     u = [abs(k * (q + p) - p) for k in range(1, n + 1)]  # q |u_k|; q |v_i| = u[n - i]
     rows = (u[n - i] * sum(u[:i]) + u[i - 1] * sum(u[: n - i]) for i in range(1, n + 1))
     return max(rows) / abs((q + p) * ((n + 1) * q + p * (n - 1)))
-
-
-def tril_mirror_assembly(cfg):
-    """``index_grid`` mirrored as tril(vals) + tril(vals, -1).T, the former assembly."""
-    vals = index_grid(cfg)
-    return np.tril(vals) + np.tril(vals, -1).T
 
 
 def masked_gauss_jordan(m):

@@ -47,8 +47,8 @@ from helpers import (
     SWEEP_B,
     SWEEP_N,
     btilde_samples,
+    capacitance,
     closed_form_entries,
-    derived_params,
     fit_printed_corner,
     nonlinearity,
     oracle_entries,
@@ -85,7 +85,7 @@ def test_criterion_01_oracle_equivalence():
                 bt = float(bt)
                 closed = closed_form_entries(n, b, bt)
                 ref = oracle_entries(n, b, bt)
-                delta = derived_params(MatrixConfig(n, b, bt)).delta
+                delta = singularity_report(n, b, bt)["delta"]
                 tol = 1e-9 * max(1.0, min(1.0 / max(abs(delta), 1e-300), 1e3))
                 err = float(np.max(np.abs(closed - ref)))
                 worst = max(worst, err / tol)
@@ -338,9 +338,10 @@ def test_criterion_10_property_suite():
     for n in SWEEP_N:
         for b in SWEEP_B:
             for bt in btilde_samples(n, b, count=20):
-                p = derived_params(MatrixConfig(n, b, float(bt)))
-                scale = max(1.0, p.m11 * p.m11, p.m12 * p.m12)
-                if abs(p.m11 * p.m11 - p.m12 * p.m12 - p.delta) > 1e-12 * scale:
+                bt = float(bt)
+                m11, m12 = capacitance(MatrixConfig(n, b, bt))
+                delta = singularity_report(n, b, bt)["delta"]
+                if abs(m11 * m11 - m12 * m12 - delta) > 1e-12 * max(1.0, m11 * m11, m12 * m12):
                     problems.append(("delta", n, b, bt))
 
     # solver path: one factored-solve step equals applying the assembled inverse

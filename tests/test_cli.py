@@ -18,7 +18,7 @@ from neartoeplitz import (
 from neartoeplitz import bvp, cli
 from neartoeplitz.cli import main
 
-from helpers import bitwise_equal, regime_corners, run_fresh, tril_mirror_assembly
+from helpers import bitwise_equal, index_grid, regime_corners, run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +283,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "trace", "--n", "3", "--b", "2", "--btilde", "2")
         assert code == 2
         assert "error" in json.loads(err)
+
+    def test_missing_numpy_is_2(self, capsys, monkeypatch):
+        """The calls that import numpy report its absence as one error line, not a traceback.
+        ``bvp`` is already loaded here and would hide the failing import, so it is dropped."""
+        monkeypatch.delitem(sys.modules, "neartoeplitz.bvp")
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for argv in (_BVP, ["reproduce", "table5"], ["reproduce", "table6"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err.count("\n")) == (2, "", 1), argv
+            assert strict_json(err)["error"]["type"] == "ModuleNotFoundError", argv
 
     def test_order_above_dense_cap_is_2(self, capsys):
         for command, bt in (("invert", "3"), ("norm", "3"), ("bounds", "3"), ("signs", "-1")):
@@ -551,13 +561,13 @@ class TestChat:
     @pytest.mark.parametrize("n", [*range(4, 61), 257])
     def test_scaled_grid_is_the_mirrored_index_grid_divided(self, n):
         """Bit for bit, with the signs of zeros: dividing the assembled grid by -c_hat gives
-        the former assembly's tril mirror of the index grid divided by -c_hat."""
+        the index grid, with its -0.0 entries made +0.0, divided by -c_hat."""
         for b in (2, -2):
             for bt in regime_corners(n, b):
                 cfg = MatrixConfig(n, b, bt)
                 for c_hat in (2.5, -0.3):
                     got = scaled_outputs("invert", n, b, bt, c_hat)["entries"]
-                    assert bitwise_equal(got, tril_mirror_assembly(cfg) / -c_hat), (b, bt, c_hat)
+                    assert bitwise_equal(got, (index_grid(cfg) + 0.0) / -c_hat), (b, bt, c_hat)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(4, 60), b=st.sampled_from([2, -2]), data=st.data())
@@ -679,13 +689,18 @@ class TestImportBoundary:
         # module's imports, and neither numpy, scipy nor the array modules.
         loaded = ("print(sorted(m for m in sys.modules"
                   " if m.startswith(('neartoeplitz.', 'numpy', 'scipy'))))")
+        # The oracle loads no closed-form module: with the package's submodules forgotten,
+        # reference_inverse loads config, errors and oracle only (and numpy).
+        ours = "[m for m in sys.modules if m.startswith('neartoeplitz.')]"
+        forget, oracle = f"for m in {ours}: del sys.modules[m]", f"print(sorted({ours}))"
         proc = run_fresh("-c", f"import sys, neartoeplitz\n{loaded}\n"
-                               f"neartoeplitz.trace_inverse\n{loaded}")
+                               f"neartoeplitz.trace_inverse\n{loaded}\n"
+                               f"{forget}\nneartoeplitz.reference_inverse\n{oracle}")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "[]",
-            "['neartoeplitz.analysis', 'neartoeplitz.config', 'neartoeplitz.core', "
-            "'neartoeplitz.errors']",
+            "['neartoeplitz.analysis', 'neartoeplitz.config', 'neartoeplitz.errors']",
+            "['neartoeplitz.config', 'neartoeplitz.errors', 'neartoeplitz.oracle']",
         ]
 
     @pytest.mark.parametrize("argv, code", NUMPY_FREE_CALLS)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from neartoeplitz import (
     BvpProblem,
     DenseSizeError,
+    InverseMatrix,
     MatrixConfig,
     SingularMatrixError,
     assemble_inverse,
@@ -39,13 +40,12 @@ from helpers import (
     banded_lu_solve,
     bitwise_equal,
     btilde_samples,
-    derived_params,
+    capacitance,
     entry_b2_simplified,
     index_grid,
     inverse_solver,
     oracle_entries,
     regime_corners,
-    tril_mirror_assembly,
 )
 
 
@@ -277,37 +277,26 @@ class TestMatrixConfig:
 
 class TestDerivedParams:
     def test_toeplitz_case(self):
-        p = derived_params(MatrixConfig(5, 2, 2.0))
-        assert p.beta == 0.0
-        assert p.m11 == 1.0
-        assert p.m12 == 0.0
-        assert p.delta == pytest.approx(1.0, rel=1e-15)
+        assert capacitance(MatrixConfig(5, 2, 2.0)) == (1.0, 0.0)
+        delta = singularity_report(5, 2, 2.0)["delta"]
+        assert delta == pytest.approx(1.0, rel=1e-15)
         # factored form: (4/6) * (2-1) * (2-0.5)
-        assert (4 / 6) * 1.0 * 1.5 == pytest.approx(p.delta, rel=1e-15)
+        assert (4 / 6) * 1.0 * 1.5 == pytest.approx(delta, rel=1e-15)
 
     def test_two_delta_forms_agree(self):
-        p = derived_params(MatrixConfig(10, 2, 5.93))
+        m11, m12 = capacitance(MatrixConfig(10, 2, 5.93))
         factored = (9 / 11) * (5.93 - 1.0) * (5.93 - 7 / 9)
-        m_form = p.m11**2 - p.m12**2
-        assert p.delta == pytest.approx(factored, rel=1e-12)
-        assert m_form == pytest.approx(factored, rel=1e-12)
-
-    def test_gamma_population(self):
-        p = derived_params(MatrixConfig(6, 2, 3.0))
-        assert p.gamma == pytest.approx((2 - 3.0) / (1 - 3.0))
-        assert p.gamma_plus is None
-        q = derived_params(MatrixConfig(6, -2, -3.0))
-        assert q.gamma is None
-        assert q.gamma_plus == pytest.approx((2 - 3.0) / (1 - 3.0))
+        assert singularity_report(10, 2, 5.93)["delta"] == pytest.approx(factored, rel=1e-12)
+        assert m11**2 - m12**2 == pytest.approx(factored, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(4, 10**6), b=st.sampled_from([2, -2]), bt=st.floats(-1e3, 1e3))
     def test_factored_delta_equals_capacitance_determinant(self, n, b, bt):
         # m11^2 - m12^2 cancels near the roots, so it is held to the scale of its terms.
         assume(not singularity_report(n, b, bt)["singular"])
-        p = derived_params(MatrixConfig(n, b, bt))
-        scale = max(1.0, p.m11 * p.m11, p.m12 * p.m12)
-        assert abs(p.m11 * p.m11 - p.m12 * p.m12 - p.delta) <= 1e-12 * scale
+        m11, m12 = capacitance(MatrixConfig(n, b, bt))
+        scale = max(1.0, m11 * m11, m12 * m12)
+        assert abs(m11 * m11 - m12 * m12 - singularity_report(n, b, bt)["delta"]) <= 1e-12 * scale
 
     def test_delta_nonnegative_for_dominant_corners(self):
         for n in (4, 9, 16):
@@ -436,9 +425,9 @@ class TestAssembleInverse:
         ref = reference_inverse(build_matrix(cfg)).entries
         assert np.max(np.abs(got - ref)) <= 1e-10
 
-    def test_source_tag_and_shape(self):
+    def test_result_type_and_shape(self):
         inv = assemble_inverse(MatrixConfig(6, 2, 4.0))
-        assert inv.source == "closed_form"
+        assert type(inv) is InverseMatrix and inv._fields == ("entries",)
         assert inv.entries.shape == (6, 6)
 
     def test_mapped_storage_is_bitwise_the_heap_storage(self, monkeypatch):
@@ -473,8 +462,7 @@ class TestGeneratorGrid:
             for bt in regime_corners(n, b):
                 cfg = MatrixConfig(n, b, bt)
                 entries = assemble_inverse(cfg).entries
-                assert np.array_equal(entries, index_grid(cfg)), (b, bt)
-                assert bitwise_equal(entries, tril_mirror_assembly(cfg)), (b, bt)
+                assert bitwise_equal(entries, index_grid(cfg) + 0.0), (b, bt)
                 assert np.array_equal(entries, entries.T)
                 assert not np.signbit(entries[entries == 0.0]).any(), (b, bt)
                 for i, j in entry_pairs(n):

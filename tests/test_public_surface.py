@@ -31,7 +31,7 @@ SIGNATURES = {
     "BvpResult": ("solution", "iterations", "observed_rate", "expected_rate", "converged", "steps"),
     "DenseSizeError": None,
     "DivergenceError": ("message", "partial"),
-    "InverseMatrix": ("entries", "source"),
+    "InverseMatrix": ("entries",),
     "MatrixConfig": ("n", "b", "b_tilde"),
     "SingularMatrixError": None,
     "UnsupportedCaseError": None,
@@ -157,3 +157,11 @@ def test_numeric_code_reads_b_only_through_the_frame():
         assert not _readers(package / f"{module}.py", {"b", "sign"}), module
     allowed = {"_rowsum", "rowsum_bounds", "sign_pattern"}
     assert _readers(package / "analysis.py", {"b", "sign"}) <= allowed
+
+
+def test_oracle_reads_no_frame_slot():
+    """The reference stays independent of what it checks: it builds the matrix from n, b and
+    b_tilde and reads none of the b = +2 frame that the closed forms share.  That it loads no
+    closed-form module is pinned by ``test_a_public_name_loads_only_its_modules``."""
+    oracle = Path(neartoeplitz.__file__).parent / "oracle.py"
+    assert not _readers(oracle, {"_bt", "_flip", "_r", "_r1", "_d"})
